@@ -13,8 +13,8 @@ from repro.geometry.point import Point
 from repro.io.tables import render_table
 from repro.selection import (
     CandidateTask,
+    SELECTORS,
     TaskSelectionProblem,
-    make_selector,
 )
 
 
@@ -39,7 +39,7 @@ def _problems(count=20, n_candidates=20, seed=0):
 
 def test_dp_selector_speed(benchmark):
     problems = _problems()
-    dp = make_selector("dp")
+    dp = SELECTORS.create("dp")
 
     def solve_all():
         return [dp.select(p) for p in problems]
@@ -51,28 +51,28 @@ def test_dp_selector_speed(benchmark):
 def test_reference_dp_selector_speed(benchmark):
     """The scalar DP the vectorized one replaced — the speedup baseline."""
     problems = _problems()
-    reference = make_selector("reference-dp")
+    reference = SELECTORS.create("reference-dp")
     selections = benchmark(lambda: [reference.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
 def test_branch_and_bound_selector_speed(benchmark):
     problems = _problems()
-    bnb = make_selector("branch-and-bound")
+    bnb = SELECTORS.create("branch-and-bound")
     selections = benchmark(lambda: [bnb.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
 def test_greedy_selector_speed(benchmark):
     problems = _problems()
-    greedy = make_selector("greedy")
+    greedy = SELECTORS.create("greedy")
     selections = benchmark(lambda: [greedy.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
 def test_two_opt_selector_speed(benchmark):
     problems = _problems()
-    two_opt = make_selector("greedy-2opt")
+    two_opt = SELECTORS.create("greedy-2opt")
     selections = benchmark(lambda: [two_opt.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
@@ -80,9 +80,9 @@ def test_two_opt_selector_speed(benchmark):
 def test_profit_gap_report(benchmark):
     """Greedy and 2-opt profit as a fraction of the DP optimum."""
     problems = _problems(count=40)
-    dp = make_selector("dp")
-    greedy = make_selector("greedy")
-    two_opt = make_selector("greedy-2opt")
+    dp = SELECTORS.create("dp")
+    greedy = SELECTORS.create("greedy")
+    two_opt = SELECTORS.create("greedy-2opt")
 
     def gaps():
         rows = []

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence, Set
 import numpy as np
 
 from repro.resilience.errors import ReproError, TransientIOError
+from repro.selection.base import Selector
 
 
 class InjectedFault(ReproError):
@@ -93,7 +94,7 @@ class FaultPlan:
         return fail
 
 
-class FaultySelector:
+class FaultySelector(Selector):
     """A selector wrapper that raises or stalls on scheduled calls.
 
     Args:

@@ -106,5 +106,15 @@ class Selector(abc.ABC):
           - a rational user: ``profit > 0`` or the selection is empty.
         """
 
+    # -- engine hooks (drained once per round; no-ops by default) --------
+
+    def consume_states_expanded(self) -> int:
+        """Exact-DP states expanded since the last call (0 here)."""
+        return 0
+
+    def consume_round_fallbacks(self) -> int:
+        """Watchdog degradations since the last call (0 here)."""
+        return 0
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -47,7 +47,7 @@ class TimeBoundedSelector(Selector):
 
     Args:
         inner: the guarded selector — an instance, or a registry name
-            resolved via :func:`~repro.selection.factory.make_selector`.
+            resolved via :data:`~repro.selection.registry.SELECTORS`.
         timeout: wall-clock deadline per ``select`` call, in seconds.
         fallback: the degradation solver (default: the paper's greedy);
             ``None`` disables degradation and turns breaches into errors.
@@ -143,7 +143,11 @@ class TimeBoundedSelector(Selector):
         self._round_fallbacks += 1
         return self.fallback.select(problem)
 
-    # -- engine hook -----------------------------------------------------
+    # -- engine hooks ----------------------------------------------------
+
+    def consume_states_expanded(self) -> int:
+        """The inner selector's DP states (the fallback's are not DP)."""
+        return self.inner.consume_states_expanded()
 
     def consume_round_fallbacks(self) -> int:
         """Degradations since the last call (the engine drains this once

@@ -1,10 +1,13 @@
 """The batched engine path: vectorised rounds for large worlds.
 
-The scalar engine's per-round cost at scale is dominated by problem
-construction: :meth:`RoundProblems.problem_for` runs an O(tasks) python
-loop (``math.hypot`` + a set lookup per task) for every user — ~10M
+Every engine runs one select kernel (:mod:`repro.simulation.round_cache`):
+a ``(user, problem)`` stream from ``RoundProblems.iter_problems``,
+solved by :func:`~repro.simulation.round_cache.solve_problems`.  The
+scalar stream runs :meth:`RoundProblems.problem_for` per user — an
+O(tasks) python loop (``math.hypot`` + a set lookup per task), ~10M
 interpreter iterations per round at 10k users x 1k tasks.  This module
-replaces that with chunked numpy:
+supplies only a faster stream, :meth:`BatchedRoundProblems.iter_problems`,
+built with chunked numpy:
 
 - one ``(chunk, tasks)`` origin-to-task distance matrix per user chunk,
   computed with the exact elementwise pipeline ``RoundProblems`` uses
@@ -15,10 +18,9 @@ replaces that with chunked numpy:
   ``Point.distance_to`` (``math.hypot``) exactly as the scalar pruning
   rule does — the sqrt pipeline and hypot can disagree only in the last
   ulp, far inside the tolerance band,
-- per-user problems assembled only for users with candidates; users with
-  none get :meth:`Selection.empty` without a selector call (selectors
-  return the empty selection for empty problems — pinned by the solver
-  contract tests).
+- per-user problems finished by the shared ``RoundProblems._assemble``
+  tail, so the two streams differ only in how candidates and origin
+  rows are found.
 
 **Precision.** The chunk pipeline runs in a configurable dtype
 (``SimulationConfig.distance_dtype``).  float64 (the default) is
@@ -28,6 +30,8 @@ reachability recheck band to :func:`float32_boundary_tol` so every
 decision the reduced precision could flip is re-decided in float64:
 candidate sets are identical to the float64 pipeline's (pinned by
 tests), only the low-order bits of the matrix entries differ.
+``problem_for`` and ``build_problems`` go through the same stream, so
+they return the float32 problems the round actually solves.
 
 **Scale.** At 50k+ users three further costs dominate, each handled
 here (see docs/architecture.md "Scaling"):
@@ -41,8 +45,8 @@ here (see docs/architecture.md "Scaling"):
 - the per-chunk position/budget gathering — answered from persistent
   per-world arrays maintained in place as users move.
 
-With ``workers > 1`` the select phase fans out across a process pool
-over shared-memory arrays (:mod:`repro.simulation.shard`); results are
+With ``workers > 1`` the same kernel runs in a process pool over
+shared-memory arrays (:mod:`repro.simulation.shard`); results are
 bit-identical at every worker count.
 
 Memory stays bounded: distance chunks are sized by
@@ -54,7 +58,6 @@ materialises the full user-by-task matrix.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +66,7 @@ from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.selection import Selection
 from repro.selection.problem import TaskSelectionProblem
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.round_cache import RoundProblems
+from repro.simulation.round_cache import RoundProblems, task_distance_matrix
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
 
@@ -100,12 +103,12 @@ def float32_boundary_tol(coordinate_scale: float, budget_scale: float) -> float:
 class BatchedRoundProblems(RoundProblems):
     """Round-problem construction over user chunks instead of users.
 
-    Extends :class:`RoundProblems` with :meth:`iter_problems`: the same
-    per-user :class:`TaskSelectionProblem` objects ``problem_for`` would
-    build, produced from chunked ``(users, tasks)`` distance matrices.
-    ``problem_for`` itself still works (it is inherited, with the row
-    mapping applied), so paired experiments that freeze a round keep
-    functioning on this class.
+    Overrides only :meth:`iter_problems`: the same per-user
+    :class:`TaskSelectionProblem` objects the scalar path builds,
+    produced from chunked ``(users, tasks)`` distance matrices and
+    finished by the shared :meth:`RoundProblems._assemble` tail.
+    ``problem_for`` is the one-user case of that path, so paired
+    experiments that freeze a round see exactly what the round solves.
 
     Args:
         tasks: the round's published tasks, in engine order.
@@ -118,12 +121,7 @@ class BatchedRoundProblems(RoundProblems):
             (reachability boundary re-decided in float64).
         chunk_bytes: per-chunk byte budget when ``chunk_elements`` is
             not given (default ~16 MB regardless of dtype).
-        task_matrix: optional precomputed distance matrix.  May cover a
-            superset of ``tasks`` (e.g. the engine's all-tasks matrix),
-            in which case ``task_rows`` maps each task's position in
-            ``tasks`` to its row in the matrix.
-        task_rows: the row mapping for ``task_matrix`` (identity when
-            omitted).
+        task_matrix, task_rows: see :class:`RoundProblems`.
     """
 
     def __init__(
@@ -153,77 +151,13 @@ class BatchedRoundProblems(RoundProblems):
         if chunk_elements < 1:
             raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
         self.chunk_elements = int(chunk_elements)
-        self._task_rows = (
-            None if task_rows is None else np.asarray(task_rows, dtype=np.int64)
+        super().__init__(
+            tasks, prices, stats=stats, task_matrix=task_matrix,
+            task_rows=task_rows,
         )
-        if self._task_rows is not None and len(self._task_rows) != len(tasks):
-            raise ValueError(
-                f"task_rows must map every task: got {len(self._task_rows)} "
-                f"rows for {len(tasks)} tasks"
-            )
-        super().__init__(tasks, prices, stats=stats, task_matrix=task_matrix)
         # Task locations in the working dtype (float32 mode casts once;
         # float64 mode reuses the base array).
-        self._work_locations = (
-            self.locations
-            if dtype == np.float64
-            else self.locations.astype(np.float32)
-        )
-
-    def _build_task_matrix(self) -> np.ndarray:
-        if self.dtype == np.float64:
-            return super()._build_task_matrix()
-        n = len(self.tasks)
-        if not n:
-            return np.empty((0, 0), dtype=self.dtype)
-        locations = self.locations.astype(np.float32)
-        dx = locations[:, 0, None] - locations[None, :, 0]
-        dy = locations[:, 1, None] - locations[None, :, 1]
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        return np.sqrt(dx, out=dx)
-
-    def _matrix_rows(self, idx: np.ndarray) -> np.ndarray:
-        return idx if self._task_rows is None else self._task_rows[idx]
-
-    def problem_for(self, user: MobileUser) -> TaskSelectionProblem:
-        if self._task_rows is None:
-            return super().problem_for(user)
-        # Re-run the scalar path with the row mapping applied to the
-        # shared matrix slice (same values, superset-matrix layout).
-        origin = user.location
-        max_distance = float(user.max_travel_distance)
-        keep: List[int] = []
-        for index, task in enumerate(self.tasks):
-            if user.user_id in task.contributors:
-                continue
-            if origin.distance_to(task.location) <= max_distance:
-                keep.append(index)
-        if keep:
-            idx = np.asarray(keep, dtype=int)
-            diff = self.locations[idx] - (origin.x, origin.y)
-            origin_row = np.sqrt((diff**2).sum(axis=1))
-            k = len(keep)
-            matrix = np.empty((k + 1, k + 1), dtype=float)
-            matrix[0, 0] = 0.0
-            matrix[0, 1:] = origin_row
-            matrix[1:, 0] = origin_row
-            rows = self._matrix_rows(idx)
-            matrix[1:, 1:] = self.task_matrix[np.ix_(rows, rows)]
-            candidates = tuple(self.candidates[i] for i in keep)
-        else:
-            matrix = np.zeros((1, 1), dtype=float)
-            candidates = ()
-        if self._stats is not None:
-            self._stats.problem_cache_hits += 1
-        return TaskSelectionProblem(
-            origin=origin,
-            candidates=candidates,
-            max_distance=max_distance,
-            cost_per_meter=float(user.cost_per_meter),
-            distance_matrix=matrix,
-        )
+        self._work_locations = self.locations.astype(dtype, copy=False)
 
     def iter_problems(
         self,
@@ -243,8 +177,9 @@ class BatchedRoundProblems(RoundProblems):
         """
         n_tasks = len(self.tasks)
         if n_tasks == 0:
+            none = np.empty(0, dtype=np.int64)
             for user in users:
-                yield user, self._assemble(user, [], None)
+                yield user, self._assemble(user, none, None)
             return
         n_users = len(users)
         if origins is None:
@@ -334,46 +269,13 @@ class BatchedRoundProblems(RoundProblems):
             # rows come out ascending, columns ascending within a row —
             # the same candidate order problem_for produces.
             rows, cols = np.nonzero(reach)
-            bounds = np.searchsorted(rows, np.arange(len(chunk) + 1))
+            origin_rows = distances[rows, cols]
+            bounds = np.searchsorted(rows, np.arange(len(chunk) + 1)).tolist()
             for row, user in enumerate(chunk):
-                keep = cols[bounds[row]:bounds[row + 1]]
-                yield user, self._assemble(user, keep, distances[row])
-
-    def _assemble(
-        self,
-        user: MobileUser,
-        keep: Sequence[int],
-        distance_row,
-    ) -> TaskSelectionProblem:
-        """Build one user's problem from precomputed distances.
-
-        Mirrors the tail of :meth:`RoundProblems.problem_for` exactly;
-        the origin row is sliced from the chunk matrix instead of being
-        recomputed (same pipeline; bit-identical values in float64).
-        """
-        k = len(keep)
-        if k:
-            idx = np.asarray(keep, dtype=int)
-            origin_row = distance_row[idx]
-            matrix = np.empty((k + 1, k + 1), dtype=self.dtype)
-            matrix[0, 0] = 0.0
-            matrix[0, 1:] = origin_row
-            matrix[1:, 0] = origin_row
-            rows = self._matrix_rows(idx)
-            matrix[1:, 1:] = self.task_matrix[rows[:, None], rows]
-            candidates = tuple(self.candidates[i] for i in keep)
-        else:
-            matrix = np.zeros((1, 1), dtype=self.dtype)
-            candidates = ()
-        if self._stats is not None:
-            self._stats.problem_cache_hits += 1
-        return TaskSelectionProblem(
-            origin=user.location,
-            candidates=candidates,
-            max_distance=float(user.max_travel_distance),
-            cost_per_meter=float(user.cost_per_meter),
-            distance_matrix=matrix,
-        )
+                lo, hi = bounds[row], bounds[row + 1]
+                yield user, self._assemble(
+                    user, cols[lo:hi], origin_rows[lo:hi]
+                )
 
 
 class BatchedSimulationEngine(SimulationEngine):
@@ -383,15 +285,15 @@ class BatchedSimulationEngine(SimulationEngine):
     the produced history:
 
     - problems come from :class:`BatchedRoundProblems` chunks, sliced
-      from a cross-round all-tasks distance matrix,
-    - users with zero candidates skip the selector call entirely,
+      from a cross-round all-tasks distance matrix and fed the engine's
+      persistent position/budget arrays,
     - mechanisms exposing a ``batched`` flag price rounds through their
       vectorised Eq. 2–7 path, fed by an incremental neighbour counter
       (mechanisms exposing a ``neighbour_counter`` hook) instead of a
       per-round grid rebuild,
-    - with ``workers > 1``, the select phase fans out across a process
-      pool over shared-memory arrays (see :mod:`repro.simulation.shard`);
-      per-user selections are merged back in world order, so the history
+    - with ``workers > 1``, the select kernel runs in a process pool over
+      shared-memory arrays (see :mod:`repro.simulation.shard`); shard
+      selections are concatenated in participant order, so the history
       is identical at every worker count.
 
     Args:
@@ -581,25 +483,17 @@ class BatchedSimulationEngine(SimulationEngine):
         its two endpoints — slices are bit-identical to a fresh build).
         """
         if self._full_task_matrix is None:
-            all_tasks = self.world.tasks
-            shim = BatchedRoundProblems(
-                [], {}, dtype=self._dtype, chunk_elements=1
+            self._full_task_matrix = task_distance_matrix(
+                [(t.location.x, t.location.y) for t in self.world.tasks],
+                self._dtype,
             )
-            shim.tasks = list(all_tasks)
-            shim.locations = np.asarray(
-                [(t.location.x, t.location.y) for t in all_tasks], dtype=float
-            ).reshape(len(all_tasks), 2)
-            self._full_task_matrix = shim._build_task_matrix()
         return self._full_task_matrix
 
-    def _round_problems(self, active, prices) -> BatchedRoundProblems:
-        cached = self._problems_cache
-        if cached is not None and cached[0] == self._next_round:
-            return cached[1]
+    def _new_problems(self, active, prices) -> BatchedRoundProblems:
         task_rows = np.asarray(
             [self._task_row_of[t.task_id] for t in active], dtype=np.int64
         )
-        problems = BatchedRoundProblems(
+        return BatchedRoundProblems(
             active,
             prices,
             stats=self._perf,
@@ -609,75 +503,17 @@ class BatchedSimulationEngine(SimulationEngine):
             task_matrix=self._task_geometry(),
             task_rows=task_rows,
         )
-        self._problems_cache = (self._next_round, problems)
-        return problems
 
     # -- the select phase -----------------------------------------------
 
-    def _collect_selections(
-        self,
-        active: List[SensingTask],
-        prices: Dict[int, float],
-        available: set,
-    ) -> List[Tuple[MobileUser, Selection]]:
+    def _user_arrays(self, rows):
+        return (
+            (self._positions, self._budgets)
+            if rows is None
+            else (self._positions[rows], self._budgets[rows])
+        )
+
+    def _select(self, active, prices, participants, rows) -> List[Selection]:
         if self._shards is not None:
-            return self._shards.collect(active, prices, available)
-        tracer = self.tracer
-        problems = self._round_problems(active, prices)
-        latency = self._metrics.histogram("selector_seconds")
-        users = self.world.users
-        if len(available) == len(users):
-            participants = users
-            rows = None
-        else:
-            rows = np.asarray(
-                [i for i, u in enumerate(users) if u.user_id in available],
-                dtype=np.int64,
-            )
-            participants = [users[i] for i in rows.tolist()]
-        origins = self._positions if rows is None else self._positions[rows]
-        budgets = self._budgets if rows is None else self._budgets[rows]
-        full = len(participants) == len(users)
-        selections: List[Tuple[MobileUser, Selection]] = []
-        by_id: Dict[int, Selection] = {}
-        empty = Selection.empty()
-        for count, (user, problem) in enumerate(
-            problems.iter_problems(participants, origins=origins, budgets=budgets)
-        ):
-            # Same cancellation contract as the scalar loop: poll at a
-            # bounded stride so a 50k-user round stops within a grace
-            # period instead of at the round boundary only.
-            if count % self.CANCEL_CHECK_EVERY == 0:
-                self.cancel.raise_if_cancelled()
-            if problem.size == 0:
-                # Selectors answer empty problems with the empty
-                # selection (solver contract); skip the call.
-                selection = empty
-            elif tracer.enabled:
-                with tracer.span(
-                    "select-user", cat="selector",
-                    user=user.user_id, tasks=problem.size,
-                ):
-                    started = perf_counter()
-                    selection = self.selector.select(problem)
-                    elapsed = perf_counter() - started
-                self._perf.selector_wall_time += elapsed
-                self._perf.selector_calls += 1
-                latency.observe(elapsed)
-            else:
-                started = perf_counter()
-                selection = self.selector.select(problem)
-                elapsed = perf_counter() - started
-                self._perf.selector_wall_time += elapsed
-                self._perf.selector_calls += 1
-                latency.observe(elapsed)
-            if full:
-                selections.append((user, selection))
-            else:
-                by_id[user.user_id] = selection
-        if full:
-            return selections
-        return [
-            (user, by_id.get(user.user_id, empty))
-            for user in users
-        ]
+            return self._shards.collect(active, prices, rows)
+        return super()._select(active, prices, participants, rows)

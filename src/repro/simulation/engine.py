@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.allocation.base import Coordinator
 
 import math
-from time import perf_counter
 
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
@@ -52,7 +51,7 @@ from repro.selection import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.perf import PerfStats
-from repro.simulation.round_cache import RoundProblems
+from repro.simulation.round_cache import RoundProblems, solve_problems
 from repro.simulation.events import (
     MeasurementEvent,
     RejectedContribution,
@@ -105,10 +104,6 @@ class SimulationEngine:
             the completed rounds bit-identically.  The default token
             never cancels and costs one attribute read per check.
     """
-
-    #: How many selector calls between cancellation polls inside a round
-    #: (a trade between responsiveness and per-user overhead).
-    CANCEL_CHECK_EVERY = 512
 
     def __init__(
         self,
@@ -281,12 +276,8 @@ class SimulationEngine:
         else:
             # Caller-supplied prices (e.g. an ablation probing a what-if
             # price map) must not poison the per-round cache.
-            problems = RoundProblems(
-                self.published_tasks(), prices, stats=self._perf
-            )
-        return [
-            (user, problems.problem_for(user)) for user in self.world.users
-        ]
+            problems = self._new_problems(self.published_tasks(), prices)
+        return list(problems.iter_problems(self.world.users))
 
     def _round_problems(
         self, active: List[SensingTask], prices: Dict[int, float]
@@ -302,9 +293,16 @@ class SimulationEngine:
         cached = self._problems_cache
         if cached is not None and cached[0] == self._next_round:
             return cached[1]
-        problems = RoundProblems(active, prices, stats=self._perf)
+        problems = self._new_problems(active, prices)
         self._problems_cache = (self._next_round, problems)
         return problems
+
+    def _new_problems(
+        self, active: List[SensingTask], prices: Dict[int, float]
+    ) -> RoundProblems:
+        """A fresh problem cache over ``active`` at ``prices`` (the
+        batched engine builds chunked ones)."""
+        return RoundProblems(active, prices, stats=self._perf)
 
     # -- main loop -------------------------------------------------------------
 
@@ -537,38 +535,54 @@ class SimulationEngine:
         """Step 2 (WST): every user's Eq. 1 answer for this round.
 
         One entry per user in world order.  Users sitting the round out
-        (participation) select nothing.  Subclasses (the batched engine)
-        override this with a vectorised construction path; the selections
-        themselves must stay bit-identical.
+        (participation) select nothing; the rest are solved by
+        :meth:`_select` and merged back into world order.
         """
-        tracer = self.tracer
+        users = self.world.users
+        if len(available) == len(users):
+            rows, participants = None, users
+        else:
+            rows = [i for i, user in enumerate(users) if user.user_id in available]
+            participants = [users[i] for i in rows]
+        selections = self._select(active, prices, participants, rows)
+        if rows is not None:
+            merged = [Selection.empty()] * len(users)
+            for row, selection in zip(rows, selections):
+                merged[row] = selection
+            selections = merged
+        return list(zip(users, selections))
+
+    def _select(
+        self,
+        active: List[SensingTask],
+        prices: Dict[int, float],
+        participants: Sequence[MobileUser],
+        rows: Optional[List[int]],
+    ) -> List[Selection]:
+        """The participants' selections, in order: the select kernel.
+
+        ``rows`` are the participants' world positions (``None`` when
+        everyone participates).  Problem construction comes from
+        :meth:`_round_problems` (fed the engine's position/budget arrays
+        via :meth:`_user_arrays`) and the solve loop is
+        :func:`~repro.simulation.round_cache.solve_problems` — the same
+        kernel every engine, and every shard worker, runs.
+        """
         problems = self._round_problems(active, prices)
-        latency = self._metrics.histogram("selector_seconds")
-        selections: List[Tuple[MobileUser, Selection]] = []
-        for count, user in enumerate(self.world.users):
-            if count % self.CANCEL_CHECK_EVERY == 0:
-                self.cancel.raise_if_cancelled()
-            if user.user_id in available:
-                problem = problems.problem_for(user)
-                if tracer.enabled:
-                    with tracer.span(
-                        "select-user", cat="selector",
-                        user=user.user_id, tasks=problem.size,
-                    ):
-                        started = perf_counter()
-                        selection = self.selector.select(problem)
-                        elapsed = perf_counter() - started
-                else:
-                    started = perf_counter()
-                    selection = self.selector.select(problem)
-                    elapsed = perf_counter() - started
-                self._perf.selector_wall_time += elapsed
-                self._perf.selector_calls += 1
-                latency.observe(elapsed)
-            else:
-                selection = Selection.empty()
-            selections.append((user, selection))
-        return selections
+        origins, budgets = self._user_arrays(rows)
+        return solve_problems(
+            self.selector,
+            problems.iter_problems(participants, origins=origins, budgets=budgets),
+            self._perf,
+            self._metrics.histogram("selector_seconds"),
+            tracer=self.tracer,
+            cancel=self.cancel,
+        )
+
+    def _user_arrays(self, rows: Optional[List[int]]):
+        """``(origins, budgets)`` arrays for the participants at ``rows``,
+        or ``(None, None)`` to read them from the user objects."""
+        return None, None
 
     def _apply_moves(
         self,
@@ -618,12 +632,10 @@ class SimulationEngine:
 
     def _drain_selector_fallbacks(self) -> int:
         """Watchdog degradations this round (0 for unguarded selectors)."""
-        consume = getattr(self.selector, "consume_round_fallbacks", None)
-        return consume() if consume is not None else 0
+        return self.selector.consume_round_fallbacks()
 
     def _drain_perf(self) -> PerfStats:
         """This round's perf counters (the accumulator is reset)."""
-        self._perf.dp_states_expanded += self._drain_selector_states()
         stats, self._perf = self._perf, PerfStats()
         return stats
 
@@ -670,15 +682,6 @@ class SimulationEngine:
         metrics.record_perf(perf)
         snapshot, self._metrics = self._metrics, MetricsRegistry()
         return snapshot
-
-    def _drain_selector_states(self) -> int:
-        """DP states expanded since the last drain (0 for non-DP
-        selectors), reaching through one wrapper level (the watchdog)."""
-        for candidate in (self.selector, getattr(self.selector, "inner", None)):
-            consume = getattr(candidate, "consume_states_expanded", None)
-            if consume is not None:
-                return consume()
-        return 0
 
     def _available_user_ids(self) -> set:
         """Users willing to work this round (all, at the paper's rate 1.0).

@@ -1,6 +1,6 @@
-"""Shared per-round construction of the users' Eq. 1 instances.
+"""The select kernel: per-round problem construction and the solve loop.
 
-Before this cache existed the engine called
+Before the problem cache existed the engine called
 :meth:`~repro.selection.problem.TaskSelectionProblem.build` once per
 user per round, and every call recomputed the same task-to-task distance
 block and re-read the same price map — O(users x tasks^2) geometry per
@@ -9,31 +9,72 @@ round for values that depend only on the round, not the user.
 :class:`RoundProblems` computes the round-invariant parts once:
 
 - the active-task reward vector and :class:`CandidateTask` records,
-- the ``(n_tasks, n_tasks)`` task-to-task distance matrix,
+- the ``(n_tasks, n_tasks)`` task-to-task distance matrix
+  (:func:`task_distance_matrix`), or a row mapping into a caller's
+  all-tasks matrix,
 - the task locations as one ``(n_tasks, 2)`` array,
 
 and assembles each user's problem by *slicing*: pick the user's eligible
 candidates, compute only the origin-to-task row, and paste the shared
-distance block.  The result is **bit-identical** to what ``build`` would
-return — the same float expressions evaluate in the same order, the
-pruning rule still uses ``Point.distance_to`` (``math.hypot``, which is
-not bitwise ``np.sqrt(dx^2+dy^2)``), and the matrix entries come from
-the same elementwise pipeline as
+distance block (:meth:`RoundProblems._assemble`, the one assembly tail
+every construction path ends in).  The result is **bit-identical** to
+what ``build`` would return — the same float expressions evaluate in the
+same order, the pruning rule still uses ``Point.distance_to``
+(``math.hypot``, which is not bitwise ``np.sqrt(dx^2+dy^2)``), and the
+matrix entries come from the same elementwise pipeline as
 :func:`~repro.geometry.distances.pairwise_distances` — so seeded runs
 replay exactly as before.
+
+:func:`solve_problems` is the other half of the kernel: it runs the
+configured selector over a ``(user, problem)`` stream.  Every engine
+calls it — the scalar engine over :meth:`RoundProblems.iter_problems`,
+the batched engine over the chunked
+:meth:`~repro.simulation.batch.BatchedRoundProblems.iter_problems`, and
+each shard worker (:mod:`repro.simulation.shard`) over its slice of the
+participants — so solving, timing and accounting are written once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from contextlib import nullcontext
+from time import perf_counter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.selection.base import CandidateTask
+from repro.obs.metrics import Histogram
+from repro.obs.trace import NULL_TRACER
+from repro.resilience.cancel import NEVER_CANCELLED, CancellationToken
+from repro.selection.base import CandidateTask, Selection, Selector
 from repro.selection.problem import TaskSelectionProblem
 from repro.simulation.perf import PerfStats
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
+
+#: How many problems :func:`solve_problems` takes between cancellation
+#: polls (a trade between responsiveness and per-user overhead).
+CANCEL_CHECK_EVERY = 512
+
+_NO_SPAN = nullcontext()
+
+
+def task_distance_matrix(locations, dtype=np.float64) -> np.ndarray:
+    """The ``(n, n)`` distance matrix of ``n`` task locations (``(x, y)``
+    pairs).
+
+    Same arithmetic as ``geometry.distances.pairwise_distances`` — diff,
+    square, one add, sqrt — in ``dtype``, written per coordinate and in
+    place so no ``(n, n, 2)`` temporary is materialised.  The sum over
+    the 2-wide axis is a single correctly-rounded add either way, so the
+    float64 entries are bit-identical to the stacked pipeline.
+    """
+    locations = np.asarray(locations, dtype=dtype).reshape(-1, 2)
+    dx = locations[:, 0, None] - locations[None, :, 0]
+    dy = locations[:, 1, None] - locations[None, :, 1]
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    np.add(dx, dy, out=dx)
+    return np.sqrt(dx, out=dx)
 
 
 class RoundProblems:
@@ -45,14 +86,24 @@ class RoundProblems:
             the engine validates before constructing this cache).
         stats: optional :class:`PerfStats` receiving one cache miss for
             the shared construction and one hit per user problem built.
+        task_matrix: optional precomputed distance matrix.  May cover a
+            superset of ``tasks`` (e.g. the batched engine's all-tasks
+            matrix), in which case ``task_rows`` maps each task's
+            position in ``tasks`` to its row in the matrix.
+        task_rows: the row mapping for ``task_matrix`` (identity when
+            omitted).
     """
+
+    #: Precision of the assembled distance matrices.
+    dtype = np.dtype(np.float64)
 
     def __init__(
         self,
         tasks: Sequence[SensingTask],
         prices: Dict[int, float],
-        stats: "PerfStats" = None,
-        task_matrix: np.ndarray = None,
+        stats: Optional[PerfStats] = None,
+        task_matrix: Optional[np.ndarray] = None,
+        task_rows: Optional[np.ndarray] = None,
     ):
         self.tasks: List[SensingTask] = list(tasks)
         self._stats = stats
@@ -74,7 +125,15 @@ class RoundProblems:
                 )
             self.task_matrix = task_matrix
         else:
-            self.task_matrix = self._build_task_matrix()
+            self.task_matrix = task_distance_matrix(self.locations, self.dtype)
+        self.task_rows = (
+            None if task_rows is None else np.asarray(task_rows, dtype=np.int64)
+        )
+        if self.task_rows is not None and len(self.task_rows) != n:
+            raise ValueError(
+                f"task_rows must map every task: got {len(self.task_rows)} "
+                f"rows for {n} tasks"
+            )
         self.candidates = tuple(
             CandidateTask(
                 task_id=task.task_id,
@@ -86,63 +145,136 @@ class RoundProblems:
         if stats is not None:
             stats.problem_cache_misses += 1
 
-    def _build_task_matrix(self) -> np.ndarray:
-        """The ``(n, n)`` task-to-task distance matrix.
-
-        Same arithmetic as ``geometry.distances.pairwise_distances`` —
-        diff, square, one add, sqrt — written per coordinate and in
-        place so no ``(n, n, 2)`` temporary is materialised.  The sum
-        over the 2-wide axis is a single correctly-rounded add either
-        way, so the entries are bit-identical to the stacked pipeline.
-        """
-        n = len(self.tasks)
-        if not n:
-            return np.empty((0, 0), dtype=float)
-        dx = self.locations[:, 0, None] - self.locations[None, :, 0]
-        dy = self.locations[:, 1, None] - self.locations[None, :, 1]
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        return np.sqrt(dx, out=dx)
-
     def problem_for(self, user: MobileUser) -> TaskSelectionProblem:
         """The user's Eq. 1 instance, assembled from the shared state.
 
         Candidate eligibility (user has not already contributed) and
         reachability pruning (direct distance within the travel budget,
         decided with ``Point.distance_to`` exactly as ``build`` does)
-        stay per-user; everything else is sliced.
+        stay per-user; everything else is sliced.  A subclass that
+        builds problems in bulk answers with the one-user case of its
+        :meth:`iter_problems`, so this is always the problem the round
+        loop solves.
         """
+        if type(self).iter_problems is not RoundProblems.iter_problems:
+            ((_, problem),) = self.iter_problems([user])
+            return problem
         origin = user.location
         max_distance = float(user.max_travel_distance)
-        keep: List[int] = []
-        for index, task in enumerate(self.tasks):
-            if user.user_id in task.contributors:
-                continue
-            if origin.distance_to(task.location) <= max_distance:
-                keep.append(index)
-
+        keep = [
+            index
+            for index, task in enumerate(self.tasks)
+            if user.user_id not in task.contributors
+            and origin.distance_to(task.location) <= max_distance
+        ]
+        idx = np.asarray(keep, dtype=np.int64)
+        origin_row = None
         if keep:
-            idx = np.asarray(keep, dtype=int)
             diff = self.locations[idx] - (origin.x, origin.y)
             origin_row = np.sqrt((diff**2).sum(axis=1))
-            k = len(keep)
-            matrix = np.empty((k + 1, k + 1), dtype=float)
+        return self._assemble(user, idx, origin_row)
+
+    def iter_problems(
+        self,
+        users: Sequence[MobileUser],
+        origins: Optional[np.ndarray] = None,
+        budgets: Optional[np.ndarray] = None,
+    ) -> Iterator[Tuple[MobileUser, TaskSelectionProblem]]:
+        """Yield ``(user, problem)`` for each user, in the given order.
+
+        Args:
+            users: the users to build problems for.
+            origins: optional ``(len(users), 2)`` float64 positions
+                aligned with ``users``; bulk subclasses read them instead
+                of the user objects.  Unused here: the scalar path reads
+                each user.
+            budgets: optional ``(len(users),)`` float64 travel budgets,
+                same convention.
+        """
+        for user in users:
+            yield user, self.problem_for(user)
+
+    def _assemble(
+        self,
+        user: MobileUser,
+        keep: np.ndarray,
+        origin_row: Optional[np.ndarray],
+    ) -> TaskSelectionProblem:
+        """Build one user's problem from its candidate indices.
+
+        Args:
+            user: the user the problem belongs to.
+            keep: ascending indices (into :attr:`tasks`) of the user's
+                candidates.
+            origin_row: the origin-to-candidate distances aligned with
+                ``keep`` (ignored when ``keep`` is empty).
+        """
+        k = len(keep)
+        if k:
+            matrix = np.empty((k + 1, k + 1), dtype=self.dtype)
             matrix[0, 0] = 0.0
             matrix[0, 1:] = origin_row
             matrix[1:, 0] = origin_row
-            matrix[1:, 1:] = self.task_matrix[np.ix_(idx, idx)]
-            candidates = tuple(self.candidates[i] for i in keep)
+            rows = keep if self.task_rows is None else self.task_rows[keep]
+            matrix[1:, 1:] = self.task_matrix[rows[:, None], rows]
+            candidates = tuple(self.candidates[i] for i in keep.tolist())
         else:
-            matrix = np.zeros((1, 1), dtype=float)
+            matrix = np.zeros((1, 1), dtype=self.dtype)
             candidates = ()
-
         if self._stats is not None:
             self._stats.problem_cache_hits += 1
         return TaskSelectionProblem(
-            origin=origin,
+            origin=user.location,
             candidates=candidates,
-            max_distance=max_distance,
+            max_distance=float(user.max_travel_distance),
             cost_per_meter=float(user.cost_per_meter),
             distance_matrix=matrix,
         )
+
+
+def solve_problems(
+    selector: Selector,
+    problems: Iterable[Tuple[MobileUser, TaskSelectionProblem]],
+    perf: PerfStats,
+    latency: Histogram,
+    tracer=NULL_TRACER,
+    cancel: CancellationToken = NEVER_CANCELLED,
+) -> List[Selection]:
+    """Every problem's selection, in stream order: the solve loop.
+
+    Empty problems get :meth:`Selection.empty` without a selector call
+    (selectors answer them with the empty selection — pinned by the
+    solver contract tests).  Every call is timed into ``perf`` and
+    ``latency``, traced as one ``select-user`` span when ``tracer`` is
+    enabled, and the DP states the selector expanded are drained into
+    ``perf`` at the end.  ``cancel`` is polled every
+    :data:`CANCEL_CHECK_EVERY` problems, so a city-scale round stops
+    within a grace period instead of at the round boundary only.
+    """
+    empty = Selection.empty()
+    traced = tracer.enabled
+    selections: List[Selection] = []
+    for count, (user, problem) in enumerate(problems):
+        if count % CANCEL_CHECK_EVERY == 0:
+            cancel.raise_if_cancelled()
+        if problem.size == 0:
+            selections.append(empty)
+            continue
+        span = (
+            tracer.span(
+                "select-user", cat="selector",
+                user=user.user_id, tasks=problem.size,
+            )
+            if traced
+            else _NO_SPAN
+        )
+        with span:
+            started = perf_counter()
+            selection = selector.select(problem)
+            elapsed = perf_counter() - started
+        perf.selector_calls += 1
+        perf.selector_wall_time += elapsed
+        latency.observe(elapsed)
+        selections.append(selection)
+    perf.dp_states_expanded += selector.consume_states_expanded()
+    return selections

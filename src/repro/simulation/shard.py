@@ -1,14 +1,17 @@
-"""The sharded select phase: fan one round's Eq. 1 solves across processes.
+"""The sharded select phase: the one select kernel, run in worker processes.
 
 At city scale the select phase dominates the round: every participant
 solves an independent :class:`TaskSelectionProblem`, and independence is
 exactly what makes the phase shardable.  The pool partitions the round's
-participants into contiguous shards, ships each shard to a worker
-process, and merges the per-user :class:`Selection` objects back in
-world order.  Because each user's selection depends only on that user's
+participants into contiguous shards and ships each shard to a worker
+process.  The worker runs the same select kernel the in-process engines
+run — :meth:`~repro.simulation.batch.BatchedRoundProblems.iter_problems`
+feeding :func:`~repro.simulation.round_cache.solve_problems` — over its
+row slice, and the parent concatenates the shards' selections in shard
+order.  Because each user's selection depends only on that user's
 position/budget and the shared round state — never on another user's
-selection — the merged sequence is **bit-identical to the single-process
-batched path at every worker count** (pinned by the determinism tests).
+selection — the result is **bit-identical to the single-process path at
+every worker count** (pinned by the determinism tests).
 
 Data movement is kept off the per-round path:
 
@@ -22,15 +25,14 @@ Data movement is kept off the per-round path:
   indices, the price vector, contributor pairs, and each shard's
   participant rows.
 
-Workers rebuild lightweight task/user proxies over the shared arrays and
-run the exact :class:`~repro.simulation.batch.BatchedRoundProblems`
-pipeline the parent would, with the same configured selector (shipped
-once, pickled, at pool start).  Perf partials (selector calls/wall time,
-latency histogram, watchdog fallbacks, DP states) come back with each
-shard and are folded into the parent's round accounting, with the
-problem-cache counters normalised to single-process semantics (one miss
-per round, one hit per participant) so perf records do not vary with the
-worker count.
+Workers hold no world objects, so they rebuild lightweight task/user
+proxies over the shared arrays and solve with their own copy of the
+configured selector (shipped once, pickled, at pool start).  Each shard
+returns its selections with the kernel's :class:`PerfStats` and latency
+:class:`~repro.obs.metrics.Histogram`, plus its watchdog fallbacks; the
+parent folds them in with ``PerfStats.add`` and ``Histogram.merge`` and
+counts the problem cache once per round (one miss, one hit per
+participant), so perf records do not vary with the worker count.
 
 The pool prefers the ``fork`` start method (cheap on Linux; the workers
 inherit the interpreter state) and falls back to ``spawn`` where fork is
@@ -47,7 +49,6 @@ import os
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -57,6 +58,8 @@ from repro.obs.metrics import Histogram
 from repro.obs.trace import NULL_TRACER, TraceContext, TraceShardWriter
 from repro.resilience.errors import ConfigError
 from repro.selection import Selection
+from repro.simulation.perf import PerfStats
+from repro.simulation.round_cache import solve_problems
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,11 @@ def _worker_init(payload: dict) -> None:
     }
 
 
-def _worker_select(job: dict) -> Tuple[List[Selection], dict]:
-    """Solve one shard: selections for ``job['rows']``, plus partials."""
+def _worker_select(
+    job: dict,
+) -> Tuple[List[Selection], PerfStats, Histogram, int]:
+    """Solve one shard: selections for ``job['rows']``, plus the shard's
+    perf counters, latency histogram and watchdog fallbacks."""
     state = _STATE
     if job["generation"] != state["generation"]:
         # The parent re-published the world (open-world churn): drop the
@@ -212,46 +218,20 @@ def _worker_select(job: dict) -> Tuple[List[Selection], dict]:
         for row in rows.tolist()
     ]
     selector = state["selector"]
-    tracer = state.get("tracer", NULL_TRACER)
+    perf = PerfStats()
     latency = Histogram()
-    selections: List[Selection] = []
-    calls = 0
-    wall = 0.0
-    with tracer.span(
+    with state["tracer"].span(
         "shard-select", cat="shard", users=len(users), tasks=len(tasks)
     ):
-        for user, problem in problems.iter_problems(
-            users, origins=positions[rows], budgets=budgets[rows]
-        ):
-            if problem.size == 0:
-                selections.append(Selection.empty())
-                continue
-            started = perf_counter()
-            selection = selector.select(problem)
-            elapsed = perf_counter() - started
-            calls += 1
-            wall += elapsed
-            latency.observe(elapsed)
-            selections.append(selection)
-    consume = getattr(selector, "consume_round_fallbacks", None)
-    fallbacks = consume() if consume is not None else 0
-    states = 0
-    for candidate in (selector, getattr(selector, "inner", None)):
-        consume = getattr(candidate, "consume_states_expanded", None)
-        if consume is not None:
-            states = consume()
-            break
-    return selections, {
-        "selector_calls": calls,
-        "selector_wall_time": wall,
-        "fallbacks": fallbacks,
-        "dp_states": states,
-        "hist_bucket_counts": latency.bucket_counts,
-        "hist_count": latency.count,
-        "hist_sum": latency.sum,
-        "hist_min": latency.min,
-        "hist_max": latency.max,
-    }
+        selections = solve_problems(
+            selector,
+            problems.iter_problems(
+                users, origins=positions[rows], budgets=budgets[rows]
+            ),
+            perf,
+            latency,
+        )
+    return selections, perf, latency, selector.consume_round_fallbacks()
 
 
 class ShardedSelectionPool:
@@ -387,25 +367,18 @@ class ShardedSelectionPool:
         self,
         active: Sequence,
         prices: Dict[int, float],
-        available: set,
-    ) -> List[Tuple[object, Selection]]:
-        """The sharded equivalent of ``_collect_selections``.
+        rows: Optional[List[int]],
+    ) -> List[Selection]:
+        """The sharded equivalent of the engine's in-process ``_select``.
 
-        Returns one ``(user, selection)`` per user in world order —
-        exactly what the in-process path returns, merged from the
-        shards' world-ordered partitions.
+        Returns one selection per participant (world rows ``rows``;
+        ``None`` means every user), in row order — exactly what the
+        in-process kernel returns, concatenated from the shards.
         """
         engine = self.engine
-        users = engine.world.users
-        if len(available) == len(users):
-            rows = np.arange(len(users), dtype=np.int64)
-            full = True
-        else:
-            rows = np.asarray(
-                [i for i, u in enumerate(users) if u.user_id in available],
-                dtype=np.int64,
-            )
-            full = False
+        if rows is None:
+            rows = range(len(engine.world.users))
+        rows = np.asarray(rows, dtype=np.int64)
         active_rows = np.asarray(
             [engine._task_row_of[t.task_id] for t in active], dtype=np.int64
         )
@@ -430,6 +403,7 @@ class ShardedSelectionPool:
             self._executor.submit(_worker_select, {**base, "rows": shard})
             for shard in np.array_split(rows, self.workers)
         ]
+        latency = engine._metrics.histogram("selector_seconds")
         merged: List[Selection] = []
         for future in futures:
             # Futures resolve in shard order (not completion order) so
@@ -437,43 +411,23 @@ class ShardedSelectionPool:
             # the engine's cancellation token.
             while True:
                 try:
-                    selections, partials = future.result(timeout=0.25)
+                    selections, perf, shard_latency, fallbacks = future.result(
+                        timeout=0.25
+                    )
                 except concurrent.futures.TimeoutError:
                     engine.cancel.raise_if_cancelled()
                     continue
                 break
             merged.extend(selections)
-            self._fold_partials(partials)
+            engine._perf.add(perf)
+            latency.merge(shard_latency)
+            engine._shard_fallbacks += fallbacks
         # Single-process cache accounting: one shared construction per
         # round, one assembled problem per participant — independent of
         # the worker count.
         engine._perf.problem_cache_misses += 1
         engine._perf.problem_cache_hits += len(rows)
-        if full:
-            return list(zip(users, merged))
-        by_row = dict(zip(rows.tolist(), merged))
-        empty = Selection.empty()
-        return [
-            (user, by_row.get(i, empty)) for i, user in enumerate(users)
-        ]
-
-    def _fold_partials(self, partials: dict) -> None:
-        """Fold one shard's perf/latency partials into the round's."""
-        engine = self.engine
-        engine._perf.selector_calls += partials["selector_calls"]
-        engine._perf.selector_wall_time += partials["selector_wall_time"]
-        engine._perf.dp_states_expanded += partials["dp_states"]
-        engine._shard_fallbacks += partials["fallbacks"]
-        if partials["hist_count"]:
-            latency = engine._metrics.histogram("selector_seconds")
-            for i, count in enumerate(partials["hist_bucket_counts"]):
-                latency.bucket_counts[i] += count
-            latency.count += partials["hist_count"]
-            latency.sum += partials["hist_sum"]
-            if latency.min is None or partials["hist_min"] < latency.min:
-                latency.min = partials["hist_min"]
-            if latency.max is None or partials["hist_max"] > latency.max:
-                latency.max = partials["hist_max"]
+        return merged
 
     # -- lifetime -------------------------------------------------------
 

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.selection import SELECTOR_NAMES, make_selector
+from repro.selection import SELECTOR_NAMES, SELECTORS
 from repro.selection.base import Selector
 
 
 class TestFactory:
     def test_all_registered_names_build(self):
         for name in SELECTOR_NAMES:
-            selector = make_selector(name)
+            selector = SELECTORS.create(name)
             assert isinstance(selector, Selector)
             assert selector.name == name
 
@@ -18,9 +18,9 @@ class TestFactory:
         assert "branch-and-bound" in SELECTOR_NAMES
 
     def test_kwargs_forwarded(self):
-        selector = make_selector("dp", max_exact_tasks=9)
+        selector = SELECTORS.create("dp", max_exact_tasks=9)
         assert selector.max_exact_tasks == 9
 
     def test_unknown_name_lists_valid(self):
         with pytest.raises(ValueError, match="greedy"):
-            make_selector("oracle")
+            SELECTORS.create("oracle")

@@ -12,8 +12,8 @@ from repro.selection import (
     DynamicProgrammingSelector,
     GreedySelector,
     TaskSelectionProblem,
+    SELECTORS,
     TimeBoundedSelector,
-    make_selector,
 )
 
 
@@ -149,6 +149,6 @@ class TestConstruction:
             TimeBoundedSelector(GreedySelector(), timeout=-1.0)
 
     def test_factory_builds_it(self, problem):
-        guarded = make_selector("time-bounded", inner="greedy", timeout=2.0)
+        guarded = SELECTORS.create("time-bounded", inner="greedy", timeout=2.0)
         assert isinstance(guarded, TimeBoundedSelector)
         assert guarded.select(problem) == GreedySelector().select(problem)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.resilience.errors import ConfigError
-from repro.simulation import SimulationConfig
+from repro.scenarios import PRESETS
+from repro.simulation import SimulationConfig, make_engine
 from repro.simulation.batch import (
     BatchedRoundProblems,
     BatchedSimulationEngine,
@@ -103,3 +104,48 @@ class TestChunkByteBudget:
     def test_chunk_bytes_must_hold_an_element(self):
         with pytest.raises(ValueError, match="chunk_bytes"):
             BatchedRoundProblems([], {}, chunk_bytes=4, dtype=np.float64)
+
+
+class TestBuildProblemsParity:
+    def test_build_problems_are_the_round_loop_problems(self):
+        # build_problems (the paired Fig. 5 freeze) must hand out the very
+        # problems the round solves — same candidates, same float32
+        # matrices — and problem_for is the one-user case of that path.
+        config = PRESETS["city-2k"].to_config(
+            rounds=2, n_users=400, n_tasks=60, area_side=6000.0, seed=3
+        )
+        assert config.distance_dtype == "float32"
+        engine = make_engine(config)
+        while not engine.finished:
+            built = dict(
+                (user.user_id, problem) for user, problem in engine.build_problems()
+            )
+            problems = engine._round_problems(
+                engine.published_tasks(), engine.published_rewards()
+            )
+            solved = {}
+            round_loop = problems.iter_problems
+
+            def recording(*args, **kwargs):
+                for user, problem in round_loop(*args, **kwargs):
+                    solved[user.user_id] = problem
+                    yield user, problem
+
+            problems.iter_problems = recording
+            singles = {
+                user.user_id: problems.problem_for(user)
+                for user in engine.world.users[:10]
+            }
+            engine.step()
+            assert solved
+            for user_id, problem in [*solved.items(), *singles.items()]:
+                expected = built[user_id]
+                assert [c.task_id for c in problem.candidates] == [
+                    c.task_id for c in expected.candidates
+                ]
+                assert problem.distance_matrix.dtype == np.float32
+                assert expected.distance_matrix.dtype == np.float32
+                assert (
+                    problem.distance_matrix.tobytes()
+                    == expected.distance_matrix.tobytes()
+                )

@@ -8,7 +8,7 @@ and campaigns.
 
 import pytest
 
-from repro.simulation import PerfStats, SimulationConfig, simulate
+from repro.simulation import PerfStats, SimulationConfig, SimulationEngine, simulate
 from repro.io.events import read_events_jsonl, write_events_jsonl
 
 
@@ -55,13 +55,20 @@ class TestEngineCounters:
         for record in result.rounds:
             assert record.perf is not None
 
-    def test_selector_call_accounting(self, result):
+    def test_selector_call_accounting(self, fast_config, result):
         totals = result.perf_totals()
-        # One problem per (round, available user): calls == cache touches.
-        assert totals.selector_calls > 0
-        assert totals.selector_calls == (
-            totals.problem_cache_hits
-        ), "each selection should hit the shared per-round problem cache"
+        # One problem per (round, available user); the selector is only
+        # called for the non-empty ones (the empty problem's answer is
+        # the empty selection under the solver contract).  A replay
+        # counts the non-empty problems round by round.
+        replay = SimulationEngine(fast_config)
+        nonempty = 0
+        while not replay.finished:
+            nonempty += sum(p.size > 0 for _user, p in replay.build_problems())
+            replay.step()
+        assert 0 < totals.selector_calls == nonempty
+        assert nonempty < totals.problem_cache_hits
+        assert totals.problem_cache_hits == 15 * result.rounds_played
         assert totals.problem_cache_misses == result.rounds_played
         assert totals.selector_wall_time > 0.0
 

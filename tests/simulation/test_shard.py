@@ -12,7 +12,7 @@ import pytest
 
 from repro.resilience.errors import ConfigError
 from repro.scenarios import PRESETS
-from repro.simulation import make_engine
+from repro.simulation import SimulationConfig, make_engine
 from repro.simulation.batch import BatchedSimulationEngine
 
 
@@ -93,6 +93,36 @@ class TestWorkerCountDeterminism:
         assert sharded.problem_cache_misses == baseline.problem_cache_misses
         assert sharded.problem_cache_hits == baseline.problem_cache_hits
         assert sharded.selector_calls == baseline.selector_calls
+
+    def test_perf_accounting_is_engine_independent(self):
+        # The scalar leg of the check above: every engine runs the one
+        # select kernel, so a float64 run with sit-outs and the exact DP
+        # reports the same counters on the scalar engine, in-process
+        # batched, and sharded.
+        config = SimulationConfig(
+            n_users=400, n_tasks=60, rounds=4, area_side=8000.0,
+            budget=9000.0, deadline_range=(2, 4), participation_rate=0.8,
+            arrival="poisson", selector="dp", seed=5,
+        )
+        scalar = make_engine(config).run().perf_totals()
+        batched_config = config.with_overrides(engine="batched")
+        batched = make_engine(batched_config).run().perf_totals()
+        engine = make_engine(batched_config, workers=2)
+        try:
+            sharded = engine.run().perf_totals()
+        finally:
+            engine.close()
+
+        def counters(perf):
+            return (
+                perf.selector_calls,
+                perf.problem_cache_hits,
+                perf.problem_cache_misses,
+                perf.dp_states_expanded,
+            )
+
+        assert scalar.dp_states_expanded > 0
+        assert counters(scalar) == counters(batched) == counters(sharded)
 
 
 class TestWorkerKnobValidation:
