@@ -34,15 +34,19 @@ class GreedySelector(Selector):
         self.min_step_profit = min_step_profit
 
     def select(self, problem: TaskSelectionProblem) -> Selection:
-        if problem.size == 0:
+        size = problem.size
+        if size == 0:
             return Selection.empty()
-        matrix = problem.distance_matrix
-        rewards = problem.rewards
+        # Python floats throughout: one tolist() converts every entry
+        # exactly, so the scan compares the same values the numpy
+        # matrix holds without a numpy scalar read per leg.
+        matrix = problem.distance_matrix.tolist()
+        rewards = [float(c.reward) for c in problem.candidates]
         cost_rate = problem.cost_per_meter
         budget = problem.max_distance + 1e-9
 
         order: List[int] = []
-        chosen = [False] * problem.size
+        chosen = [False] * size
         current = 0  # node index: 0 = origin, j+1 = candidate j
         traveled = 0.0
 
@@ -50,13 +54,13 @@ class GreedySelector(Selector):
             best_idx = -1
             best_gain = self.min_step_profit
             row = matrix[current]
-            for j in range(problem.size):
+            for j in range(size):
                 if chosen[j]:
                     continue
-                leg = float(row[j + 1])
+                leg = row[j + 1]
                 if traveled + leg > budget:
                     continue
-                gain = float(rewards[j]) - cost_rate * leg
+                gain = rewards[j] - cost_rate * leg
                 if gain > best_gain:
                     best_gain = gain
                     best_idx = j
@@ -64,7 +68,7 @@ class GreedySelector(Selector):
                 break
             order.append(best_idx)
             chosen[best_idx] = True
-            traveled += float(matrix[current, best_idx + 1])
+            traveled += row[best_idx + 1]
             current = best_idx + 1
 
         if not order:

@@ -18,9 +18,9 @@ built with chunked numpy:
   ``Point.distance_to`` (``math.hypot``) exactly as the scalar pruning
   rule does — the sqrt pipeline and hypot can disagree only in the last
   ulp, far inside the tolerance band,
-- per-user problems finished by the shared ``RoundProblems._assemble``
-  tail, so the two streams differ only in how candidates and origin
-  rows are found.
+- each chunk's problems finished by the shared ``RoundProblems._fill``
+  tail in one batch, so the two streams differ only in how candidates
+  and origin rows are found.
 
 **Precision.** The chunk pipeline runs in a configurable dtype
 (``SimulationConfig.distance_dtype``).  float64 (the default) is
@@ -106,7 +106,8 @@ class BatchedRoundProblems(RoundProblems):
     Overrides only :meth:`iter_problems`: the same per-user
     :class:`TaskSelectionProblem` objects the scalar path builds,
     produced from chunked ``(users, tasks)`` distance matrices and
-    finished by the shared :meth:`RoundProblems._assemble` tail.
+    finished chunk by chunk by the shared :meth:`RoundProblems._fill`
+    tail.
     ``problem_for`` is the one-user case of that path, so paired
     experiments that freeze a round see exactly what the round solves.
 
@@ -177,9 +178,7 @@ class BatchedRoundProblems(RoundProblems):
         """
         n_tasks = len(self.tasks)
         if n_tasks == 0:
-            none = np.empty(0, dtype=np.int64)
-            for user in users:
-                yield user, self._assemble(user, none, None)
+            yield from zip(users, self._fill(users, (), (), [0] * len(users)))
             return
         n_users = len(users)
         if origins is None:
@@ -269,13 +268,10 @@ class BatchedRoundProblems(RoundProblems):
             # rows come out ascending, columns ascending within a row —
             # the same candidate order problem_for produces.
             rows, cols = np.nonzero(reach)
-            origin_rows = distances[rows, cols]
-            bounds = np.searchsorted(rows, np.arange(len(chunk) + 1)).tolist()
-            for row, user in enumerate(chunk):
-                lo, hi = bounds[row], bounds[row + 1]
-                yield user, self._assemble(
-                    user, cols[lo:hi], origin_rows[lo:hi]
-                )
+            counts = np.bincount(rows, minlength=len(chunk)).tolist()
+            yield from zip(
+                chunk, self._fill(chunk, cols, distances[rows, cols], counts)
+            )
 
 
 class BatchedSimulationEngine(SimulationEngine):
@@ -440,38 +436,24 @@ class BatchedSimulationEngine(SimulationEngine):
         if self._shards is not None:
             self._shards.refresh()
 
-    def _apply_moves(self, arrival, selections, tasks_by_id) -> None:
+    def _apply_moves(self, arrival, users, selections, tasks_by_id):
         """The scalar move pass, plus position-array and counter upkeep.
 
-        Mobility policies return the *same object* when a user does not
-        move (stationary users sit on their home point; path followers
-        with no path keep their location), so an identity check finds
-        the movers without a coordinate comparison.  A returned new
-        object with equal coordinates is treated as a move — harmless:
-        its counter delta is exactly zero.
+        Only the movers the scalar pass reports touch the arrays.  A
+        returned new object with equal coordinates counts as a move —
+        harmless: its counter delta is exactly zero.
         """
-        counter = self._neighbour_counter
-        positions = self._positions
+        moved = super()._apply_moves(arrival, users, selections, tasks_by_id)
+        if not moved:
+            return moved
         user_rows = self._user_rows
-        moved_rows: List[int] = []
-        moved_old: List = []
-        moved_new: List = []
-        for idx in arrival:
-            user, selection = selections[idx]
-            old = user.location
-            self._move_user(user, selection, tasks_by_id)
-            new = user.location
-            if new is old:
-                continue
-            row = user_rows[user.user_id]
-            positions[row, 0] = new.x
-            positions[row, 1] = new.y
-            if counter is not None:
-                moved_rows.append(row)
-                moved_old.append(old)
-                moved_new.append(new)
-        if counter is not None and moved_rows:
-            counter.apply_moves(moved_rows, moved_old, moved_new)
+        rows = [user_rows[users[idx].user_id] for idx, _, _ in moved]
+        self._positions[rows] = [(new.x, new.y) for _, _, new in moved]
+        if self._neighbour_counter is not None:
+            self._neighbour_counter.apply_moves(
+                rows, [old for _, old, _ in moved], [new for _, _, new in moved]
+            )
+        return moved
 
     # -- problem construction -------------------------------------------
 

@@ -34,9 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.allocation.base import Coordinator
 
 import math
+from collections import Counter
+from operator import attrgetter
+
+import numpy as np
 
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
+from repro.geometry.point import Point
 from repro.obs.log import bind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -57,7 +62,7 @@ from repro.simulation.events import (
     RejectedContribution,
     RoundRecord,
     SimulationResult,
-    UserRoundRecord,
+    UserRecordColumns,
 )
 from repro.simulation.rng import spawn_streams
 from repro.world.generator import World
@@ -387,56 +392,61 @@ class SimulationEngine:
         with tracer.span("price-publish", cat="phase", round=round_no):
             prices = self.published_rewards()
             self._validate_prices(prices, active, round_no)
-        available = self._available_user_ids()
+        rows = self._available_rows()
 
         # Step 2: either WST (each user solves Eq. 1 independently) or
         # SAT (the coordinator assigns selections centrally).  Users who
         # sit this round out (participation_rate < 1) select nothing.
+        # ``selections`` is one entry per user, in world order.
+        users = self.world.users
         with tracer.span("select", cat="phase", round=round_no):
             if self.coordinator is not None:
-                present = [u for u in self.world.users if u.user_id in available]
+                present = (
+                    list(users) if rows is None else [users[i] for i in rows]
+                )
                 assigned = self.coordinator.assign(
                     round_no, active, present, prices
                 )
-                selections = [
-                    (user, assigned.get(user.user_id, Selection.empty()))
-                    for user in self.world.users
-                ]
+                empty = Selection.empty()
+                selections = [assigned.get(u.user_id, empty) for u in users]
             else:
-                selections = self._collect_selections(active, prices, available)
+                selections = self._collect_selections(active, prices, rows)
 
-        # Step 3: uploads processed in a random arrival order.
+        # Step 3: uploads processed in a random arrival order.  The
+        # permutation covers every user, so the arrival stream does not
+        # depend on who selected what; only users with a path upload
+        # (an empty selection earns nothing and touches no task).
         with tracer.span("upload", cat="phase", round=round_no):
             arrival = self._streams["arrival"].permutation(len(selections))
+            has_path = np.fromiter(
+                map(bool, map(attrgetter("task_ids"), selections)),
+                dtype=bool,
+                count=len(selections),
+            )
             measurements: List[MeasurementEvent] = []
             rejections: List[RejectedContribution] = []
-            user_records: List[UserRoundRecord] = []
+            rewards = [0.0] * len(selections)
             completed: List[int] = []
             tasks_by_id = {t.task_id: t for t in active}
 
-            for idx in arrival:
-                user, selection = selections[idx]
+            for idx in arrival[has_path[arrival]].tolist():
+                selection = selections[idx]
+                user = users[idx]
                 reward = self._perform(
                     user, selection, tasks_by_id, prices, round_no,
                     measurements, rejections, completed,
                 )
-                if not selection.is_empty:
-                    user.record_round(round_no, reward, selection.cost)
-                user_records.append(
-                    UserRoundRecord(
-                        round_no=round_no,
-                        user_id=user.user_id,
-                        selected_task_ids=selection.task_ids,
-                        distance=selection.distance,
-                        reward=reward,
-                        cost=selection.cost,
-                    )
-                )
+                user.record_round(round_no, reward, selection.cost)
+                rewards[idx] = reward
+            user_ids = list(map(attrgetter("user_id"), users))
+            user_records = UserRecordColumns(
+                round_no, user_ids, selections, rewards
+            )
             # Mobility is a single post-upload pass in the same arrival
             # order: nothing in the upload loop reads another user's
             # position, and the mobility stream is consumed in the same
             # sequence, so this is bit-identical to interleaved moves.
-            self._apply_moves(arrival, selections, tasks_by_id)
+            self._apply_moves(arrival.tolist(), users, selections, tasks_by_id)
 
         # Step 4 prep: expire tasks whose deadline has passed.  The open
         # world first offers each overdue task its pre-drawn renewal
@@ -457,7 +467,7 @@ class SimulationEngine:
         return RoundRecord(
             round_no=round_no,
             published_rewards=dict(prices),
-            user_records=tuple(sorted(user_records, key=lambda r: r.user_id)),
+            user_records=user_records,
             measurements=tuple(measurements),
             rejections=tuple(rejections),
             completed_task_ids=tuple(completed),
@@ -530,27 +540,25 @@ class SimulationEngine:
         self,
         active: List[SensingTask],
         prices: Dict[int, float],
-        available: set,
-    ) -> List[Tuple[MobileUser, Selection]]:
+        rows: Optional[List[int]],
+    ) -> List[Selection]:
         """Step 2 (WST): every user's Eq. 1 answer for this round.
 
-        One entry per user in world order.  Users sitting the round out
-        (participation) select nothing; the rest are solved by
+        One entry per user in world order.  ``rows`` are the world rows
+        of this round's participants (``None``: everyone); the rest sit
+        the round out and select nothing.  Participants are solved by
         :meth:`_select` and merged back into world order.
         """
         users = self.world.users
-        if len(available) == len(users):
-            rows, participants = None, users
-        else:
-            rows = [i for i, user in enumerate(users) if user.user_id in available]
-            participants = [users[i] for i in rows]
-        selections = self._select(active, prices, participants, rows)
-        if rows is not None:
-            merged = [Selection.empty()] * len(users)
-            for row, selection in zip(rows, selections):
-                merged[row] = selection
-            selections = merged
-        return list(zip(users, selections))
+        if rows is None:
+            return self._select(active, prices, users, None)
+        participants = [users[i] for i in rows]
+        merged = [Selection.empty()] * len(users)
+        for row, selection in zip(
+            rows, self._select(active, prices, participants, rows)
+        ):
+            merged[row] = selection
+        return merged
 
     def _select(
         self,
@@ -587,13 +595,36 @@ class SimulationEngine:
     def _apply_moves(
         self,
         arrival: Sequence[int],
-        selections: List[Tuple[MobileUser, Selection]],
+        users: Sequence[MobileUser],
+        selections: Sequence[Selection],
         tasks_by_id: Dict[int, SensingTask],
-    ) -> None:
-        """Advance every user to its next-round position (arrival order)."""
+    ) -> List[Tuple[int, Point, Point]]:
+        """Advance every user to its next-round position (arrival order).
+
+        Returns ``(world row, old, new)`` for each user whose policy
+        returned a different location object.  Policies return the
+        *same object* for a user that stays put (stationary users on
+        their home point, path followers without a path), so an identity
+        check finds the movers without a coordinate comparison.
+        """
+        next_position = self.mobility.next_position
+        region = self.world.region
+        rng = self._streams["mobility"]
+        moved: List[Tuple[int, Point, Point]] = []
         for idx in arrival:
-            user, selection = selections[idx]
-            self._move_user(user, selection, tasks_by_id)
+            user = users[idx]
+            task_ids = selections[idx].task_ids
+            path = (
+                [tasks_by_id[task_id].location for task_id in task_ids]
+                if task_ids
+                else ()
+            )
+            old = user.location
+            new = next_position(user, path, region, rng)
+            if new is not old:
+                user.location = new
+                moved.append((idx, old, new))
+        return moved
 
     def _validate_prices(
         self,
@@ -662,10 +693,11 @@ class SimulationEngine:
         metrics.counter("measurements_total", outcome="accepted").inc(
             len(measurements)
         )
-        for rejection in rejections:
+        # Tallied first: one series lookup per label, not per event.
+        for reason, count in Counter(r.reason for r in rejections).items():
             metrics.counter(
-                "measurements_total", outcome="rejected", reason=rejection.reason
-            ).inc()
+                "measurements_total", outcome="rejected", reason=reason
+            ).inc(count)
         paid = sum(event.reward for event in measurements)
         metrics.counter("payout_total").inc(paid)
         self._cumulative_paid += paid
@@ -675,29 +707,30 @@ class SimulationEngine:
         demands = getattr(self.mechanism, "last_demands", None)
         levels = getattr(self.mechanism, "levels", None)
         if demands and levels is not None:
-            for level in levels.levels_of(list(demands.values())):
-                metrics.counter("demand_level_total", level=level).inc()
+            for level, count in Counter(
+                levels.levels_of(list(demands.values()))
+            ).items():
+                metrics.counter("demand_level_total", level=level).inc(count)
         if fallbacks:
             metrics.counter("selector_fallbacks_total").inc(fallbacks)
         metrics.record_perf(perf)
         snapshot, self._metrics = self._metrics, MetricsRegistry()
         return snapshot
 
-    def _available_user_ids(self) -> set:
-        """Users willing to work this round (all, at the paper's rate 1.0).
+    def _available_rows(self) -> Optional[List[int]]:
+        """World rows of the users willing to work this round, ascending;
+        ``None`` when everyone is (always, at the paper's rate 1.0).
 
         Draws one Bernoulli per user from the dedicated participation
         stream; at rate 1.0 no randomness is consumed, so legacy seeds
         replay bit-exactly.
         """
         if self.config.participation_rate >= 1.0:
-            return {user.user_id for user in self.world.users}
-        draws = self._streams["participation"].random(len(self.world.users))
-        return {
-            user.user_id
-            for user, draw in zip(self.world.users, draws)
-            if draw < self.config.participation_rate
-        }
+            return None
+        users = self.world.users
+        draws = self._streams["participation"].random(len(users))
+        rows = np.flatnonzero(draws < self.config.participation_rate)
+        return None if len(rows) == len(users) else rows.tolist()
 
     def _perform(
         self,
@@ -739,17 +772,6 @@ class SimulationEngine:
                     )
                 )
         return earned
-
-    def _move_user(
-        self,
-        user: MobileUser,
-        selection: Selection,
-        tasks_by_id: Dict[int, SensingTask],
-    ) -> None:
-        path = [tasks_by_id[task_id].location for task_id in selection.task_ids]
-        user.location = self.mobility.next_position(
-            user, path, self.world.region, self._streams["mobility"]
-        )
 
 
 def make_engine(config: SimulationConfig, **engine_kwargs) -> SimulationEngine:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dynamics.processes import WorldEvent
 from repro.obs.metrics import MetricsRegistry
@@ -69,6 +70,77 @@ class UserRoundRecord:
         return bool(self.selected_task_ids)
 
 
+class UserRecordColumns(Sequence):
+    """One round's :class:`UserRoundRecord`\\ s, held as columns until read.
+
+    The engine knows every user's round as three aligned columns — user
+    id, the frozen :class:`~repro.selection.base.Selection` and the
+    reward actually earned — and most rounds are never read record by
+    record (streamed runs drop them after aggregation).  So the records
+    are built on first iteration or indexing: the same tuple, sorted by
+    ``user_id``, the engine used to build eagerly.  ``len()`` never
+    builds them.
+
+    Behaves as that tuple: it compares equal to it in both directions,
+    hashes like it and pickles as a plain tuple.
+    """
+
+    __slots__ = ("round_no", "_columns", "_records")
+
+    def __init__(
+        self,
+        round_no: int,
+        user_ids: Sequence[int],
+        selections: Sequence,
+        rewards: Sequence[float],
+    ):
+        self.round_no = round_no
+        self._columns = (user_ids, selections, rewards)
+        self._records: Optional[Tuple[UserRoundRecord, ...]] = None
+
+    def _built(self) -> Tuple[UserRoundRecord, ...]:
+        records = self._records
+        if records is None:
+            user_ids, selections, rewards = self._columns
+            records = self._records = tuple(
+                UserRoundRecord(
+                    round_no=self.round_no,
+                    user_id=user_ids[i],
+                    selected_task_ids=selections[i].task_ids,
+                    distance=selections[i].distance,
+                    reward=rewards[i],
+                    cost=selections[i].cost,
+                )
+                for i in sorted(range(len(user_ids)), key=user_ids.__getitem__)
+            )
+        return records
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UserRecordColumns):
+            other = other._built()
+        if isinstance(other, tuple):
+            return self._built() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __reduce__(self):
+        return tuple, (self._built(),)
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything that happened in one sensing round.
@@ -76,7 +148,8 @@ class RoundRecord:
     Args:
         round_no: 1-based round number.
         published_rewards: the mechanism's price per active task id.
-        user_records: one record per user (including sit-outs).
+        user_records: one record per user (including sit-outs), sorted
+            by ``user_id`` — a :class:`UserRecordColumns` from the engine.
         measurements: accepted measurements, in acceptance order.
         rejections: contributions that arrived too late.
         completed_task_ids: tasks that reached :math:`\\varphi` this round.
@@ -104,7 +177,7 @@ class RoundRecord:
 
     round_no: int
     published_rewards: Dict[int, float]
-    user_records: Tuple[UserRoundRecord, ...]
+    user_records: Sequence[UserRoundRecord]
     measurements: Tuple[MeasurementEvent, ...]
     rejections: Tuple[RejectedContribution, ...]
     completed_task_ids: Tuple[int, ...]

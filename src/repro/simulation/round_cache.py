@@ -14,10 +14,12 @@ round for values that depend only on the round, not the user.
   all-tasks matrix,
 - the task locations as one ``(n_tasks, 2)`` array,
 
-and assembles each user's problem by *slicing*: pick the user's eligible
-candidates, compute only the origin-to-task row, and paste the shared
-distance block (:meth:`RoundProblems._assemble`, the one assembly tail
-every construction path ends in).  The result is **bit-identical** to
+and assembles each user's problem by *gathering*: pick the user's
+eligible candidates, compute only the origin-to-task row, and gather the
+rest from the shared distance block (:meth:`RoundProblems._fill`, the
+one assembly tail every construction path ends in; it fills a whole
+batch of users' matrices into one read-only buffer with one gather per
+distinct candidate count).  The result is **bit-identical** to
 what ``build`` would return — the same float expressions evaluate in the
 same order, the pruning rule still uses ``Point.distance_to``
 (``math.hypot``, which is not bitwise ``np.sqrt(dx^2+dy^2)``), and the
@@ -36,7 +38,10 @@ participants — so solving, timing and accounting are written once.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
+from functools import lru_cache
+from itertools import accumulate
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -111,6 +116,7 @@ class RoundProblems:
         self.locations = np.asarray(
             [(t.location.x, t.location.y) for t in self.tasks], dtype=float
         ).reshape(n, 2)
+        self._coordinates = self.locations.tolist()
         self.rewards = np.asarray(
             [prices[t.task_id] for t in self.tasks], dtype=float
         )
@@ -151,28 +157,33 @@ class RoundProblems:
         Candidate eligibility (user has not already contributed) and
         reachability pruning (direct distance within the travel budget,
         decided with ``Point.distance_to`` exactly as ``build`` does)
-        stay per-user; everything else is sliced.  A subclass that
-        builds problems in bulk answers with the one-user case of its
-        :meth:`iter_problems`, so this is always the problem the round
-        loop solves.
+        stay per-user; the matrix comes from :meth:`_fill`.  A subclass
+        that builds problems in bulk answers with the one-user case of
+        its :meth:`iter_problems`, so this is always the problem the
+        round loop solves.
         """
         if type(self).iter_problems is not RoundProblems.iter_problems:
             ((_, problem),) = self.iter_problems([user])
             return problem
-        origin = user.location
+        user_id = user.user_id
+        ox, oy = user.location.x, user.location.y
         max_distance = float(user.max_travel_distance)
-        keep = [
-            index
-            for index, task in enumerate(self.tasks)
-            if user.user_id not in task.contributors
-            and origin.distance_to(task.location) <= max_distance
-        ]
-        idx = np.asarray(keep, dtype=np.int64)
-        origin_row = None
-        if keep:
-            diff = self.locations[idx] - (origin.x, origin.y)
-            origin_row = np.sqrt((diff**2).sum(axis=1))
-        return self._assemble(user, idx, origin_row)
+        keep = []
+        origin_row = []
+        points = zip(self.tasks, self._coordinates)
+        for index, (task, (x, y)) in enumerate(points):
+            if user_id in task.contributors:
+                continue
+            dx = ox - x
+            dy = oy - y
+            # Reachability is ``origin.distance_to(task.location)``
+            # written out: math.hypot of the same differences.  The
+            # matrix entry uses the sqrt pipeline every other entry uses
+            # (diff, square, one add, sqrt — each correctly rounded).
+            if math.hypot(dx, dy) <= max_distance:
+                keep.append(index)
+                origin_row.append(math.sqrt(dx * dx + dy * dy))
+        return self._fill([user], keep, origin_row, [len(keep)])[0]
 
     def iter_problems(
         self,
@@ -194,42 +205,106 @@ class RoundProblems:
         for user in users:
             yield user, self.problem_for(user)
 
-    def _assemble(
+    def _fill(
         self,
-        user: MobileUser,
-        keep: np.ndarray,
-        origin_row: Optional[np.ndarray],
-    ) -> TaskSelectionProblem:
-        """Build one user's problem from its candidate indices.
+        users: Sequence[MobileUser],
+        cols,
+        origin_rows,
+        counts: List[int],
+    ) -> List[TaskSelectionProblem]:
+        """Finish a batch of users' problems: the one assembly tail.
 
         Args:
-            user: the user the problem belongs to.
-            keep: ascending indices (into :attr:`tasks`) of the user's
-                candidates.
-            origin_row: the origin-to-candidate distances aligned with
-                ``keep`` (ignored when ``keep`` is empty).
+            users: the batch, in order.
+            cols: every user's candidate indices into :attr:`tasks`,
+                concatenated in user order; ascending within each user.
+            origin_rows: the origin-to-candidate distances aligned with
+                ``cols``.
+            counts: each user's candidate count ``k`` (its share of
+                ``cols``).
+
+        All ``(k+1, k+1)`` matrices of the batch share one flat buffer.
+        Users with the same ``k`` fill one ``(users, k+1, k+1)`` block of
+        it with one gather from :attr:`task_matrix`, so the numpy calls
+        grow with the distinct counts, not with the users.  The buffer is
+        then made read-only and each problem's ``distance_matrix`` is a
+        view of it; users without a candidate share one read-only
+        ``(1, 1)`` zero matrix.
         """
-        k = len(keep)
-        if k:
-            matrix = np.empty((k + 1, k + 1), dtype=self.dtype)
-            matrix[0, 0] = 0.0
-            matrix[0, 1:] = origin_row
-            matrix[1:, 0] = origin_row
-            rows = keep if self.task_rows is None else self.task_rows[keep]
-            matrix[1:, 1:] = self.task_matrix[rows[:, None], rows]
-            candidates = tuple(self.candidates[i] for i in keep.tolist())
-        else:
-            matrix = np.zeros((1, 1), dtype=self.dtype)
-            candidates = ()
-        if self._stats is not None:
-            self._stats.problem_cache_hits += 1
-        return TaskSelectionProblem(
-            origin=user.location,
-            candidates=candidates,
-            max_distance=float(user.max_travel_distance),
-            cost_per_meter=float(user.cost_per_meter),
-            distance_matrix=matrix,
-        )
+        dtype = self.dtype
+        cols = np.asarray(cols, dtype=np.int64)
+        origin_rows = np.asarray(origin_rows, dtype=dtype)
+        bounds = [0, *accumulate(counts)]
+        distinct = set(counts)
+        # One count and no candidate-free user: the batch is one block.
+        whole = len(distinct) == 1 and 0 not in distinct
+        distinct.discard(0)
+        if not whole:
+            count_array = np.asarray(counts)
+            starts = np.asarray(bounds[:-1])
+        groups = []
+        size = 0
+        for k in sorted(distinct):
+            if whole:
+                rows = None
+                group_cols = cols.reshape(-1, k)
+                group_origin = origin_rows.reshape(-1, k)
+            else:
+                rows = np.flatnonzero(count_array == k)
+                slots = starts[rows, None] + np.arange(k)
+                group_cols = cols[slots]
+                group_origin = origin_rows[slots]
+            groups.append((k, rows, group_cols, group_origin))
+            size += len(group_cols) * (k + 1) ** 2
+        buf = np.empty(size, dtype=dtype)
+        matrices = None if whole else [_zero_matrix(dtype)] * len(users)
+        start = 0
+        for k, rows, group_cols, group_origin in groups:
+            matrix_rows = (
+                group_cols if self.task_rows is None
+                else self.task_rows[group_cols]
+            )
+            stop = start + len(group_cols) * (k + 1) ** 2
+            block = buf[start:stop].reshape(-1, k + 1, k + 1)
+            start = stop
+            block[:, 0, 0] = 0.0
+            block[:, 0, 1:] = group_origin
+            block[:, 1:, 0] = group_origin
+            block[:, 1:, 1:] = self.task_matrix[
+                matrix_rows[:, :, None], matrix_rows[:, None, :]
+            ]
+            # Views of a read-only block are read-only.
+            block.flags.writeable = False
+            if rows is None:
+                matrices = [block[i] for i in range(len(block))]
+            else:
+                for row, matrix in zip(rows.tolist(), block):
+                    matrices[row] = matrix
+        buf.flags.writeable = False
+        picked = list(map(self.candidates.__getitem__, cols.tolist()))
+        stats = self._stats
+        if stats is not None:
+            stats.problem_cache_hits += len(users)
+        # Positional: origin, candidates, max_distance, cost_per_meter,
+        # distance_matrix.
+        return [
+            TaskSelectionProblem(
+                user.location,
+                tuple(picked[bounds[i] : bounds[i + 1]]),
+                float(user.max_travel_distance),
+                float(user.cost_per_meter),
+                matrices[i],
+            )
+            for i, user in enumerate(users)
+        ]
+
+
+@lru_cache(maxsize=None)
+def _zero_matrix(dtype: np.dtype) -> np.ndarray:
+    """The read-only ``(1, 1)`` matrix of every candidate-free problem."""
+    matrix = np.zeros((1, 1), dtype=dtype)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def solve_problems(
@@ -253,12 +328,15 @@ def solve_problems(
     """
     empty = Selection.empty()
     traced = tracer.enabled
+    select = selector.select
+    observe = latency.observe
     selections: List[Selection] = []
+    append = selections.append
     for count, (user, problem) in enumerate(problems):
         if count % CANCEL_CHECK_EVERY == 0:
             cancel.raise_if_cancelled()
-        if problem.size == 0:
-            selections.append(empty)
+        if not problem.candidates:
+            append(empty)
             continue
         span = (
             tracer.span(
@@ -270,11 +348,11 @@ def solve_problems(
         )
         with span:
             started = perf_counter()
-            selection = selector.select(problem)
+            selection = select(problem)
             elapsed = perf_counter() - started
         perf.selector_calls += 1
         perf.selector_wall_time += elapsed
-        latency.observe(elapsed)
-        selections.append(selection)
+        observe(elapsed)
+        append(selection)
     perf.dp_states_expanded += selector.consume_states_expanded()
     return selections

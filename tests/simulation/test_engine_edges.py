@@ -13,6 +13,8 @@ from repro.selection import Selection
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import spawn_streams
+from repro.world.generator import World
+from tests.conftest import make_task, make_user
 
 
 class ScriptedCoordinator:
@@ -91,6 +93,54 @@ class TestRejectionReasons:
         record = engine.step()
         assert [r.reason for r in record.rejections] == ["duplicate"]
         assert record.measurements == ()
+
+
+class TestRejectionMetrics:
+    def test_counters_per_reason_match_hand_counts(self, region):
+        # Every task takes 2 measurements.  Round 1: users 0 and 1
+        # contribute to tasks 0 and 1.  Round 2: each goes back to its
+        # task (duplicate: the task still has a slot nobody else takes)
+        # and on to task 2, which users 2-4 also visit: five arrivals
+        # for two slots, so three "full" whatever the arrival order.
+        tasks = [
+            make_task(i, 200.0 + 150.0 * i, 500.0, deadline=9, required=2)
+            for i in range(3)
+        ]
+        users = [make_user(i, 500.0, 450.0 + 20.0 * i) for i in range(5)]
+        engine = SimulationEngine(
+            SimulationConfig(n_users=5, n_tasks=3, rounds=3, mechanism="fixed"),
+            world=World(region=region, tasks=tasks, users=users),
+            coordinator=ScriptedCoordinator(
+                {
+                    1: {0: (0,), 1: (1,)},
+                    2: {0: (0, 2), 1: (1, 2), 2: (2,), 3: (2,), 4: (2,)},
+                }
+            ),
+        )
+        engine.step()
+        record = engine.step()
+        reasons = sorted(r.reason for r in record.rejections)
+        assert reasons == ["duplicate"] * 2 + ["full"] * 3
+        counted = {
+            key: value
+            for key, value in record.metrics.as_dict().items()
+            if key.startswith("measurements_total")
+        }
+        assert counted == {
+            'measurements_total{outcome=accepted}': {"kind": "counter", "value": 2},
+            'measurements_total{outcome=rejected,reason=duplicate}': {
+                "kind": "counter",
+                "value": 2,
+            },
+            'measurements_total{outcome=rejected,reason=full}': {
+                "kind": "counter",
+                "value": 3,
+            },
+        }
+        snapshot = record.metrics.as_dict()
+        assert snapshot["payout_total"]["value"] == record.total_paid
+        assert snapshot["problem_cache_hits"]["value"] == 0
+        assert snapshot["selector_calls"]["value"] == 0
 
 
 class TestPriceBoundary:
