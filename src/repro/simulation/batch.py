@@ -444,15 +444,14 @@ class BatchedSimulationEngine(SimulationEngine):
         harmless: its counter delta is exactly zero.
         """
         moved = super()._apply_moves(arrival, users, selections, tasks_by_id)
-        if not moved:
+        movers, olds, news = moved
+        if not movers:
             return moved
         user_rows = self._user_rows
-        rows = [user_rows[users[idx].user_id] for idx, _, _ in moved]
-        self._positions[rows] = [(new.x, new.y) for _, _, new in moved]
+        rows = [user_rows[users[idx].user_id] for idx in movers]
+        self._positions[rows] = [(new.x, new.y) for new in news]
         if self._neighbour_counter is not None:
-            self._neighbour_counter.apply_moves(
-                rows, [old for _, old, _ in moved], [new for _, _, new in moved]
-            )
+            self._neighbour_counter.apply_moves(rows, olds, news)
         return moved
 
     # -- problem construction -------------------------------------------

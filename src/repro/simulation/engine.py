@@ -58,11 +58,12 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.perf import PerfStats
 from repro.simulation.round_cache import RoundProblems, solve_problems
 from repro.simulation.events import (
-    MeasurementEvent,
-    RejectedContribution,
+    MeasurementColumns,
+    RejectionColumns,
     RoundRecord,
     SimulationResult,
     UserRecordColumns,
+    record_field,
 )
 from repro.simulation.rng import spawn_streams
 from repro.world.generator import World
@@ -423,8 +424,11 @@ class SimulationEngine:
                 dtype=bool,
                 count=len(selections),
             )
-            measurements: List[MeasurementEvent] = []
-            rejections: List[RejectedContribution] = []
+            # Uploads are recorded as columns — (task id, user id, price)
+            # accepted, (task id, user id, reason) rejected — so no
+            # per-upload object outlives the round's young collections.
+            accepted: Tuple[List[int], List[int], List[float]] = ([], [], [])
+            rejected: Tuple[List[int], List[int], List[str]] = ([], [], [])
             rewards = [0.0] * len(selections)
             completed: List[int] = []
             tasks_by_id = {t.task_id: t for t in active}
@@ -434,7 +438,7 @@ class SimulationEngine:
                 user = users[idx]
                 reward = self._perform(
                     user, selection, tasks_by_id, prices, round_no,
-                    measurements, rejections, completed,
+                    accepted, rejected, completed,
                 )
                 user.record_round(round_no, reward, selection.cost)
                 rewards[idx] = reward
@@ -442,6 +446,8 @@ class SimulationEngine:
             user_records = UserRecordColumns(
                 round_no, user_ids, selections, rewards
             )
+            measurements = MeasurementColumns(round_no, *accepted)
+            rejections = RejectionColumns(round_no, *rejected)
             # Mobility is a single post-upload pass in the same arrival
             # order: nothing in the upload loop reads another user's
             # position, and the mobility stream is consumed in the same
@@ -468,8 +474,8 @@ class SimulationEngine:
             round_no=round_no,
             published_rewards=dict(prices),
             user_records=user_records,
-            measurements=tuple(measurements),
-            rejections=tuple(rejections),
+            measurements=measurements,
+            rejections=rejections,
             completed_task_ids=tuple(completed),
             expired_task_ids=tuple(expired),
             dynamics=dynamics,
@@ -598,10 +604,11 @@ class SimulationEngine:
         users: Sequence[MobileUser],
         selections: Sequence[Selection],
         tasks_by_id: Dict[int, SensingTask],
-    ) -> List[Tuple[int, Point, Point]]:
+    ) -> Tuple[List[int], List[Point], List[Point]]:
         """Advance every user to its next-round position (arrival order).
 
-        Returns ``(world row, old, new)`` for each user whose policy
+        Returns the movers as three aligned columns — world row, old
+        location, new location — one entry per user whose policy
         returned a different location object.  Policies return the
         *same object* for a user that stays put (stationary users on
         their home point, path followers without a path), so an identity
@@ -610,7 +617,9 @@ class SimulationEngine:
         next_position = self.mobility.next_position
         region = self.world.region
         rng = self._streams["mobility"]
-        moved: List[Tuple[int, Point, Point]] = []
+        rows: List[int] = []
+        olds: List[Point] = []
+        news: List[Point] = []
         for idx in arrival:
             user = users[idx]
             task_ids = selections[idx].task_ids
@@ -623,8 +632,10 @@ class SimulationEngine:
             new = next_position(user, path, region, rng)
             if new is not old:
                 user.location = new
-                moved.append((idx, old, new))
-        return moved
+                rows.append(idx)
+                olds.append(old)
+                news.append(new)
+        return rows, olds, news
 
     def _validate_prices(
         self,
@@ -672,8 +683,8 @@ class SimulationEngine:
 
     def _drain_round_metrics(
         self,
-        measurements: List[MeasurementEvent],
-        rejections: List[RejectedContribution],
+        measurements: MeasurementColumns,
+        rejections: RejectionColumns,
         fallbacks: int,
         perf: PerfStats,
     ) -> MetricsRegistry:
@@ -694,11 +705,12 @@ class SimulationEngine:
             len(measurements)
         )
         # Tallied first: one series lookup per label, not per event.
-        for reason, count in Counter(r.reason for r in rejections).items():
+        reasons = Counter(record_field(rejections, "reason"))
+        for reason, count in reasons.items():
             metrics.counter(
                 "measurements_total", outcome="rejected", reason=reason
             ).inc(count)
-        paid = sum(event.reward for event in measurements)
+        paid = sum(record_field(measurements, "reward"))
         metrics.counter("payout_total").inc(paid)
         self._cumulative_paid += paid
         metrics.gauge("budget_remaining").set(
@@ -739,38 +751,35 @@ class SimulationEngine:
         tasks_by_id: Dict[int, SensingTask],
         prices: Dict[int, float],
         round_no: int,
-        measurements: List[MeasurementEvent],
-        rejections: List[RejectedContribution],
+        accepted: Tuple[List[int], List[int], List[float]],
+        rejected: Tuple[List[int], List[int], List[str]],
         completed: List[int],
     ) -> float:
-        """Walk the selected path; return the rewards actually earned."""
+        """Walk the selected path; return the rewards actually earned.
+
+        Each upload appends one entry to every column of ``accepted``
+        (task id, user id, price) or ``rejected`` (task id, user id,
+        reason).
+        """
         earned = 0.0
+        user_id = user.user_id
         for task_id in selection.task_ids:
             task = tasks_by_id[task_id]
-            if task.can_accept(user.user_id):
-                task.record_measurement(user.user_id, round_no)
+            if task.can_accept(user_id):
+                task.record_measurement(user_id, round_no)
                 price = prices[task_id]
                 earned += price
-                measurements.append(
-                    MeasurementEvent(
-                        round_no=round_no,
-                        task_id=task_id,
-                        user_id=user.user_id,
-                        reward=price,
-                    )
-                )
+                columns = accepted
+                value = price
                 if not task.is_active:
                     completed.append(task_id)
             else:
-                reason = "full" if task.remaining == 0 else "duplicate"
-                rejections.append(
-                    RejectedContribution(
-                        round_no=round_no,
-                        task_id=task_id,
-                        user_id=user.user_id,
-                        reason=reason,
-                    )
-                )
+                columns = rejected
+                value = "full" if task.remaining == 0 else "duplicate"
+            task_ids, user_ids, values = columns
+            task_ids.append(task_id)
+            user_ids.append(user_id)
+            values.append(value)
         return earned
 
 

@@ -13,7 +13,8 @@ import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dynamics.processes import WorldEvent
 from repro.obs.metrics import MetricsRegistry
@@ -70,49 +71,52 @@ class UserRoundRecord:
         return bool(self.selected_task_ids)
 
 
-class UserRecordColumns(Sequence):
-    """One round's :class:`UserRoundRecord`\\ s, held as columns until read.
+class RecordColumns(Sequence):
+    """One round's records, held as aligned columns until read.
 
-    The engine knows every user's round as three aligned columns — user
-    id, the frozen :class:`~repro.selection.base.Selection` and the
-    reward actually earned — and most rounds are never read record by
-    record (streamed runs drop them after aggregation).  So the records
-    are built on first iteration or indexing: the same tuple, sorted by
-    ``user_id``, the engine used to build eagerly.  ``len()`` never
-    builds them.
+    The engine knows a round's records as plain per-field lists, and
+    most rounds are never read record by record (streamed runs drop them
+    after aggregation).  So the records are built on first iteration or
+    indexing, once; ``len()`` never builds them, and :func:`record_field`
+    reads a column straight through.
 
-    Behaves as that tuple: it compares equal to it in both directions,
-    hashes like it and pickles as a plain tuple.
+    Behaves as the tuple of records it stands for: it compares equal to
+    it in both directions, hashes like it and pickles as a plain tuple.
+    Subclasses name their columns in :attr:`fields` and their record
+    type in :attr:`record`; record ``i`` is built from row ``i`` of the
+    columns unless the subclass overrides :meth:`_build`.
     """
 
     __slots__ = ("round_no", "_columns", "_records")
 
-    def __init__(
-        self,
-        round_no: int,
-        user_ids: Sequence[int],
-        selections: Sequence,
-        rewards: Sequence[float],
-    ):
-        self.round_no = round_no
-        self._columns = (user_ids, selections, rewards)
-        self._records: Optional[Tuple[UserRoundRecord, ...]] = None
+    #: The column names, in constructor order.
+    fields: Tuple[str, ...] = ()
 
-    def _built(self) -> Tuple[UserRoundRecord, ...]:
+    #: The record type, called as ``record(round_no, *row)``.
+    record: type
+
+    def __init__(self, round_no: int, *columns: Sequence):
+        if len(columns) != len(self.fields):
+            raise TypeError(
+                f"{type(self).__name__} takes columns {self.fields}, "
+                f"got {len(columns)}"
+            )
+        self.round_no = round_no
+        self._columns = columns
+        self._records: Optional[tuple] = None
+
+    def column(self, name: str) -> Sequence:
+        """The column ``name``, in column order, without building records."""
+        return self._columns[self.fields.index(name)]
+
+    def _build(self) -> tuple:
+        record, round_no = self.record, self.round_no
+        return tuple(record(round_no, *row) for row in zip(*self._columns))
+
+    def _built(self) -> tuple:
         records = self._records
         if records is None:
-            user_ids, selections, rewards = self._columns
-            records = self._records = tuple(
-                UserRoundRecord(
-                    round_no=self.round_no,
-                    user_id=user_ids[i],
-                    selected_task_ids=selections[i].task_ids,
-                    distance=selections[i].distance,
-                    reward=rewards[i],
-                    cost=selections[i].cost,
-                )
-                for i in sorted(range(len(user_ids)), key=user_ids.__getitem__)
-            )
+            records = self._records = self._build()
         return records
 
     def __len__(self) -> int:
@@ -125,7 +129,7 @@ class UserRecordColumns(Sequence):
         return self._built()[index]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UserRecordColumns):
+        if isinstance(other, RecordColumns):
             other = other._built()
         if isinstance(other, tuple):
             return self._built() == other
@@ -141,17 +145,79 @@ class UserRecordColumns(Sequence):
         return repr(self._built())
 
 
+class UserRecordColumns(RecordColumns):
+    """One round's :class:`UserRoundRecord`\\ s as columns: user id, the
+    frozen :class:`~repro.selection.base.Selection` and the reward
+    actually earned, in world order.  The records come out sorted by
+    ``user_id``, the tuple the engine used to build eagerly."""
+
+    __slots__ = ()
+    fields = ("user_id", "selection", "reward")
+
+    def _build(self) -> Tuple[UserRoundRecord, ...]:
+        user_ids, selections, rewards = self._columns
+        return tuple(
+            UserRoundRecord(
+                round_no=self.round_no,
+                user_id=user_ids[i],
+                selected_task_ids=selections[i].task_ids,
+                distance=selections[i].distance,
+                reward=rewards[i],
+                cost=selections[i].cost,
+            )
+            for i in sorted(range(len(user_ids)), key=user_ids.__getitem__)
+        )
+
+
+class MeasurementColumns(RecordColumns):
+    """One round's :class:`MeasurementEvent`\\ s as columns, in acceptance
+    order."""
+
+    __slots__ = ()
+    fields = ("task_id", "user_id", "reward")
+    record = MeasurementEvent
+
+
+class RejectionColumns(RecordColumns):
+    """One round's :class:`RejectedContribution`\\ s as columns, in upload
+    order."""
+
+    __slots__ = ()
+    fields = ("task_id", "user_id", "reason")
+    record = RejectedContribution
+
+
+def record_field(records: Sequence, name: str) -> Iterable:
+    """``name`` of every record in ``records``.
+
+    Reads the column when ``records`` holds columns, so no record is
+    built; plain tuples of records (replayed from an events JSONL) are
+    read record by record.  Measurement and rejection columns are in
+    record order; user-record columns are in world order, not the
+    records' ``user_id`` order.
+    """
+    if isinstance(records, RecordColumns):
+        return records.column(name)
+    return map(attrgetter(name), records)
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything that happened in one sensing round.
+
+    The engine fills the three record sequences with lazy
+    :class:`RecordColumns` (:class:`UserRecordColumns`,
+    :class:`MeasurementColumns`, :class:`RejectionColumns`); a replay of
+    an events JSONL holds plain tuples.  Both compare, hash and pickle
+    alike, and every accessor here reads either form.
 
     Args:
         round_no: 1-based round number.
         published_rewards: the mechanism's price per active task id.
         user_records: one record per user (including sit-outs), sorted
-            by ``user_id`` — a :class:`UserRecordColumns` from the engine.
+            by ``user_id``.
         measurements: accepted measurements, in acceptance order.
-        rejections: contributions that arrived too late.
+        rejections: contributions that arrived too late, in upload order.
         completed_task_ids: tasks that reached :math:`\\varphi` this round.
         expired_task_ids: tasks whose deadline passed at the end of this round.
         selector_fallbacks: how many Eq. 1 instances this round were
@@ -178,8 +244,8 @@ class RoundRecord:
     round_no: int
     published_rewards: Dict[int, float]
     user_records: Sequence[UserRoundRecord]
-    measurements: Tuple[MeasurementEvent, ...]
-    rejections: Tuple[RejectedContribution, ...]
+    measurements: Sequence[MeasurementEvent]
+    rejections: Sequence[RejectedContribution]
     completed_task_ids: Tuple[int, ...]
     expired_task_ids: Tuple[int, ...]
     selector_fallbacks: int = 0
@@ -194,11 +260,15 @@ class RoundRecord:
     @property
     def total_paid(self) -> float:
         """Rewards the platform paid out this round."""
-        return sum(event.reward for event in self.measurements)
+        return sum(record_field(self.measurements, "reward"))
 
     @property
     def participating_users(self) -> int:
-        return sum(1 for record in self.user_records if record.participated)
+        """Users who left home this round (a non-empty selection)."""
+        records = self.user_records
+        if isinstance(records, UserRecordColumns):
+            return sum(1 for s in records.column("selection") if s.task_ids)
+        return sum(1 for record in records if record.participated)
 
 
 @dataclass
@@ -224,10 +294,9 @@ class RunTotals:
         self.total_measurements += record.measurement_count
         self.total_paid += record.total_paid
         self.total_selector_fallbacks += record.selector_fallbacks
-        for event in record.measurements:
-            self.measurements_by_task[event.task_id] = (
-                self.measurements_by_task.get(event.task_id, 0) + 1
-            )
+        by_task = self.measurements_by_task
+        for task_id in record_field(record.measurements, "task_id"):
+            by_task[task_id] = by_task.get(task_id, 0) + 1
         if record.perf is not None:
             self.perf = PerfStats.merged((self.perf, record.perf))
         if record.metrics is not None:
@@ -329,8 +398,8 @@ class SimulationResult:
             counts.update(self.totals.measurements_by_task)
             return counts
         for record in self.rounds:
-            for event in record.measurements:
-                counts[event.task_id] += 1
+            for task_id in record_field(record.measurements, "task_id"):
+                counts[task_id] += 1
         return counts
 
     def user_profits(self, round_no: int = None) -> List[float]:

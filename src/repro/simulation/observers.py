@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional, Set, TextIO
 
-from repro.simulation.events import RoundRecord
+from repro.simulation.events import RoundRecord, record_field
 
 
 class ProgressPrinter:
@@ -97,6 +97,5 @@ class CoverageTracker:
         return len(self._covered) / self.n_tasks
 
     def __call__(self, record: RoundRecord) -> None:
-        for event in record.measurements:
-            self._covered.add(event.task_id)
+        self._covered.update(record_field(record.measurements, "task_id"))
         self.by_round.append(self.coverage)

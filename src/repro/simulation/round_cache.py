@@ -183,7 +183,8 @@ class RoundProblems:
             if math.hypot(dx, dy) <= max_distance:
                 keep.append(index)
                 origin_row.append(math.sqrt(dx * dx + dy * dy))
-        return self._fill([user], keep, origin_row, [len(keep)])[0]
+        (problem,) = self._fill([user], keep, origin_row, [len(keep)])
+        return problem
 
     def iter_problems(
         self,
@@ -211,7 +212,7 @@ class RoundProblems:
         cols,
         origin_rows,
         counts: List[int],
-    ) -> List[TaskSelectionProblem]:
+    ) -> Iterator[TaskSelectionProblem]:
         """Finish a batch of users' problems: the one assembly tail.
 
         Args:
@@ -230,6 +231,13 @@ class RoundProblems:
         then made read-only and each problem's ``distance_matrix`` is a
         view of it; users without a candidate share one read-only
         ``(1, 1)`` zero matrix.
+
+        The matrices are filled on the first ``next()``, but each
+        :class:`TaskSelectionProblem` and its candidate tuple is built
+        only when the stream reaches its user.  Nothing here keeps a
+        yielded problem alive, so a problem dies as soon as its consumer
+        drops it — young, before the collector promotes a chunk's worth
+        of problems to its oldest generation.
         """
         dtype = self.dtype
         cols = np.asarray(cols, dtype=np.int64)
@@ -287,16 +295,14 @@ class RoundProblems:
             stats.problem_cache_hits += len(users)
         # Positional: origin, candidates, max_distance, cost_per_meter,
         # distance_matrix.
-        return [
-            TaskSelectionProblem(
+        for i, user in enumerate(users):
+            yield TaskSelectionProblem(
                 user.location,
                 tuple(picked[bounds[i] : bounds[i + 1]]),
                 float(user.max_travel_distance),
                 float(user.cost_per_meter),
                 matrices[i],
             )
-            for i, user in enumerate(users)
-        ]
 
 
 @lru_cache(maxsize=None)
