@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.ahp import PairwiseComparisonMatrix, example_comparison_matrix
 from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
@@ -123,6 +123,21 @@ def build_config(
     return SimulationConfig().with_overrides(**overrides)
 
 
+def _config(
+    config: Optional[SimulationConfig],
+    scenario: Optional[ScenarioLike],
+    overrides: Dict[str, Any],
+) -> SimulationConfig:
+    """The run's config from one of ``config`` / ``scenario`` (neither
+    means the defaults) plus field overrides — the entry points' shared
+    configuration surface."""
+    if config is not None and scenario is not None:
+        raise ValueError("pass either config or scenario, not both")
+    if config is None:
+        return build_config(scenario, **overrides)
+    return config.with_overrides(**overrides) if overrides else config
+
+
 def simulate(
     config: Optional[SimulationConfig] = None,
     *,
@@ -145,21 +160,8 @@ def simulate(
     >>> simulate(scenario="paper-2018", n_users=30, rounds=3).rounds_played
     3
     """
-    if config is not None and scenario is not None:
-        raise ValueError("pass either config or scenario, not both")
-    if config is None:
-        config = build_config(scenario, **overrides)
-    elif overrides:
-        config = config.with_overrides(**overrides)
-    if workers is None:
-        return _simulate(config)
-    engine = make_engine(config, workers=workers)
-    try:
-        return engine.run()
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+    config = _config(config, scenario, overrides)
+    return _simulate(config, workers=workers)
 
 
 def open_session(
@@ -188,12 +190,7 @@ def open_session(
     >>> [r.round_no for r in records]
     [1, 2, 3]
     """
-    if config is not None and scenario is not None:
-        raise ValueError("pass either config or scenario, not both")
-    if config is None:
-        config = build_config(scenario, **overrides)
-    elif overrides:
-        config = config.with_overrides(**overrides)
+    config = _config(config, scenario, overrides)
     return SimulationSession(config, workers=workers, observers=observers)
 
 
@@ -213,12 +210,7 @@ def make_env(
     :func:`simulate`; ``obs`` / ``actions`` / ``reward`` select the
     pluggable pieces by registry name (see :mod:`repro.envs`).
     """
-    if config is not None and scenario is not None:
-        raise ValueError("pass either config or scenario, not both")
-    if config is None:
-        config = build_config(scenario, **overrides)
-    elif overrides:
-        config = config.with_overrides(**overrides)
+    config = _config(config, scenario, overrides)
     return IncentiveEnv(
         config, obs=obs, actions=actions, reward=reward, workers=workers
     )

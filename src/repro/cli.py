@@ -605,9 +605,8 @@ def _command_simulate(args: argparse.Namespace, command: Optional[str] = None) -
             stream_writer.close()
         if profiler is not None:
             profiler.stop()
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        if engine is not None:
+            engine.close()
     summary = MetricsSummary.from_result(result)
     rows = [[name, value] for name, value in summary.as_dict().items()]
     print(render_table(["metric", "value"], rows, precision=4))

@@ -279,27 +279,38 @@ class DemandCalculator:
         remaining deadlines, progress fractions, and neighbour ratios
         take few distinct values per round — then broadcast back.  That
         sidesteps the last-ulp differences between ``np.log`` and libm's
-        ``log`` that would otherwise let the two engine paths drift.
+        ``log`` that would otherwise set the array and scalar demands
+        (on-demand vs. proportional pricing) apart.
 
         Raises:
-            ValueError: if any task is already expired (same contract as
-                :func:`deadline_factor`).
+            ValueError: for the inputs the scalar factors reject — an
+                expired task (:func:`deadline_factor`), ``required < 1``
+                or ``received < 0`` (:func:`progress_factor`), negative
+                neighbour counts (:func:`scarcity_factor`).
         """
         n = len(deadlines)
         if n == 0:
             return np.zeros(0)
-        remaining = np.asarray(deadlines, dtype=float) - (round_no - 1)
         if round_no < 1:
             raise ValueError(f"round_no must be >= 1, got {round_no}")
+        remaining = np.asarray(deadlines, dtype=float) - (round_no - 1)
         if np.any(remaining < 1):
             raise ValueError(
                 f"round {round_no} is past a task deadline; "
                 f"expired tasks have no demand"
             )
+        required = np.asarray(required)
+        received = np.asarray(received)
+        if np.any(required < 1):
+            bad = required[required < 1][0]
+            raise ValueError(f"required must be >= 1, got {bad}")
+        if np.any(received < 0):
+            bad = received[received < 0][0]
+            raise ValueError(f"received must be non-negative, got {bad}")
         x1 = self.deadline_scale * _log_unique(1.0 + 1.0 / remaining)
-        progress = np.minimum(1.0, np.asarray(received) / np.asarray(required))
+        progress = np.minimum(1.0, received / required)
         x2 = self.progress_scale * _log_unique(2.0 - progress)
-        max_neighbours = int(np.max(neighbours)) if n else 0
+        max_neighbours = int(np.max(neighbours))
         x3 = scarcity_factors(neighbours, max_neighbours, self.scarcity_scale)
         raw = (
             self.weights.deadline * x1

@@ -44,7 +44,7 @@ class DemandLevels:
             ValueError: for demand outside [0, 1] (beyond float slack).
         """
         d = normalized_demand
-        if d < -1e-12 or d > 1.0 + 1e-12:
+        if not -1e-12 <= d <= 1.0 + 1e-12:  # NaN fails too
             raise ValueError(f"normalised demand must lie in [0, 1], got {d}")
         d = min(max(d, 0.0), 1.0)
         if d <= self.width:
@@ -62,17 +62,21 @@ class DemandLevels:
         """Vectorised :meth:`level_of`, bit-identical per element.
 
         Replicates the scalar arithmetic exactly (same clamp, same
-        boundary nudge), so the batched pricing path buckets every
-        demand into the same level as the scalar path.
+        boundary nudge), so array pricing buckets every demand into the
+        level :meth:`level_of` gives it (pinned by tests).
 
         Raises:
-            ValueError: if any demand lies outside [0, 1] beyond slack.
+            ValueError: if any demand lies outside [0, 1] beyond slack
+                (NaN included), like :meth:`level_of`.
         """
         import numpy as np
 
         d = np.asarray(demands, dtype=float)
-        if d.size and (np.any(d < -1e-12) or np.any(d > 1.0 + 1e-12)):
-            raise ValueError("normalised demands must lie in [0, 1]")
+        outside = ~((d >= -1e-12) & (d <= 1.0 + 1e-12))
+        if np.any(outside):
+            raise ValueError(
+                f"normalised demand must lie in [0, 1], got {d[outside][0]}"
+            )
         d = np.minimum(np.maximum(d, 0.0), 1.0)
         levels = np.minimum(
             np.ceil(d / self.width - 1e-12).astype(int), self.count

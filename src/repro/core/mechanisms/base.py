@@ -3,20 +3,19 @@
 The platform side of Fig. 1 is deliberately thin: before each round it
 asks the mechanism for one number per active task — the per-measurement
 reward — and publishes those.  Mechanisms never see individual users'
-decisions, only the aggregate round state (task progress and current user
-positions), which is exactly the information the paper's platform has
-after "(4) Data Upload / (5) Demand Calculate".
+decisions, only the aggregate round state (task progress and how many
+users are near each task), which is exactly the information the paper's
+platform has after "(4) Data Upload / (5) Demand Calculate".
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.point import Point
 from repro.world.generator import World
 from repro.world.task import SensingTask
 
@@ -28,16 +27,40 @@ class RoundView:
     Args:
         round_no: the 1-based round about to start.
         active_tasks: tasks still published (not completed, not expired).
-        user_locations: every user's position at the start of the round.
+        neighbour_counts: the Eq. 5 count N_i per task — users within the
+            mechanism's ``neighbour_radius`` at the start of the round —
+            aligned with ``active_tasks``.  The engine supplies them when
+            the mechanism declares a ``neighbour_radius``; ``None``
+            otherwise.
     """
 
     round_no: int
     active_tasks: Sequence[SensingTask]
-    user_locations: Sequence[Point]
+    neighbour_counts: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if self.round_no < 1:
             raise ValueError(f"round_no must be >= 1, got {self.round_no}")
+        counts = self.neighbour_counts
+        if counts is not None and len(counts) != len(self.active_tasks):
+            raise ValueError(
+                f"neighbour_counts has {len(counts)} entries for "
+                f"{len(self.active_tasks)} active tasks"
+            )
+
+    def neighbours(self) -> np.ndarray:
+        """The Eq. 5 counts as an int array, aligned with ``active_tasks``.
+
+        Raises:
+            ValueError: when the view carries no counts.
+        """
+        if self.neighbour_counts is None:
+            raise ValueError(
+                "this mechanism prices from Eq. 5 neighbour counts, but the "
+                "round view carries none (the engine counts neighbours only "
+                "for mechanisms that declare a neighbour_radius)"
+            )
+        return np.asarray(self.neighbour_counts, dtype=int)
 
 
 class IncentiveMechanism(abc.ABC):

@@ -9,23 +9,24 @@ Per round (Section IV):
 4. price via :math:`r = r_0 + \\lambda(DL - 1)` (Eq. 7) with the
    budget-derived :math:`r_0` (Eq. 9).
 
-Neighbour counts use the :class:`~repro.geometry.grid_index.GridIndex`
-over the users' *current* positions, rebuilt each round — the demands are
-"real-time" in the paper's sense.
+Neighbour counts arrive with the round view: the engine keeps one
+:class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` current
+from the users' moves, so the demands are "real-time" in the paper's
+sense.  Steps 1–4 run as one array pass (:meth:`DemandCalculator.
+demands_array` then :meth:`RewardSchedule.rewards_array`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.ahp import PairwiseComparisonMatrix
-from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
+from repro.core.demand import DemandCalculator, DemandWeights
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
-from repro.geometry.grid_index import GridIndex
 from repro.world.generator import World
 
 
@@ -94,14 +95,6 @@ class OnDemandMechanism(IncentiveMechanism):
         #: normalised demands of the last priced round, keyed by task id —
         #: exposed for observability (experiments and tests read it).
         self.last_demands: Dict[int, float] = {}
-        #: when True, :meth:`rewards` runs the vectorised Eq. 2–7 path
-        #: (bit-identical prices; set by the batched engine).
-        self.batched = False
-        #: optional :class:`~repro.geometry.grid_index.
-        #: IncrementalNeighbourCounter` answering Eq. 5 queries without a
-        #: per-round grid rebuild (injected by the batched engine, which
-        #: keeps it current from its own move loop; exact counts).
-        self.neighbour_counter = None
 
     def initialize(self, world: World, rng: np.random.Generator) -> None:
         if self.schedule is None:
@@ -119,68 +112,14 @@ class OnDemandMechanism(IncentiveMechanism):
         if not tasks:
             self.last_demands = {}
             return {}
-        if self.batched:
-            return self._rewards_batched(view, tasks)
-        neighbours = self._neighbour_counts(view)
-        inputs: List[TaskDemandInputs] = [
-            TaskDemandInputs(
-                round_no=view.round_no,
-                deadline=task.deadline,
-                received=task.received,
-                required=task.required_measurements,
-                neighbours=neighbours[i],
-            )
-            for i, task in enumerate(tasks)
-        ]
-        demands = self.calculator.demands(inputs)
-        self.last_demands = {t.task_id: d for t, d in zip(tasks, demands)}
-        prices = {
-            task.task_id: self.schedule.reward_for_demand(demand)
-            for task, demand in zip(tasks, demands)
-        }
-        return self._require_all_tasks(prices, tasks)
-
-    def _rewards_batched(self, view: RoundView, tasks: List) -> Dict[int, float]:
-        """Vectorised Eq. 2–7: same prices, numpy arithmetic.
-
-        Neighbour counts come from :meth:`GridIndex.counts_array` (exact
-        counts, boundary-rechecked), demands from
-        :meth:`DemandCalculator.demands_array` (distinct-value scalar
-        logs), prices from :meth:`RewardSchedule.rewards_array` — each
-        pinned bit-identical to its scalar counterpart by tests.
-        """
-        if self.neighbour_counter is not None:
-            neighbours = self.neighbour_counter.counts_array(
-                [t.location for t in tasks]
-            )
-        elif view.user_locations:
-            index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-            neighbours = index.counts_array(
-                [t.location for t in tasks], self.neighbour_radius
-            )
-        else:
-            neighbours = np.zeros(len(tasks), dtype=int)
         demands = self.calculator.demands_array(
             round_no=view.round_no,
             deadlines=np.asarray([t.deadline for t in tasks]),
             received=np.asarray([t.received for t in tasks]),
             required=np.asarray([t.required_measurements for t in tasks]),
-            neighbours=neighbours,
+            neighbours=view.neighbours(),
         )
-        self.last_demands = {
-            t.task_id: float(d) for t, d in zip(tasks, demands)
-        }
-        rewards = self.schedule.rewards_array(demands)
-        prices = {
-            task.task_id: float(reward) for task, reward in zip(tasks, rewards)
-        }
+        ids = [t.task_id for t in tasks]
+        self.last_demands = dict(zip(ids, demands.tolist()))
+        prices = dict(zip(ids, self.schedule.rewards_array(demands).tolist()))
         return self._require_all_tasks(prices, tasks)
-
-    def _neighbour_counts(self, view: RoundView) -> List[int]:
-        """Per-task neighbouring-user counts from a per-round grid index."""
-        if not view.user_locations:
-            return [0] * len(view.active_tasks)
-        index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-        return index.counts_for(
-            [t.location for t in view.active_tasks], self.neighbour_radius
-        )

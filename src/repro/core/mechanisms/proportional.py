@@ -21,7 +21,6 @@ from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
-from repro.geometry.grid_index import GridIndex
 from repro.world.generator import World
 
 
@@ -69,22 +68,15 @@ class ProportionalDemandMechanism(IncentiveMechanism):
         tasks = list(view.active_tasks)
         if not tasks:
             return {}
-        if view.user_locations:
-            index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-            neighbours = index.counts_for(
-                [t.location for t in tasks], self.neighbour_radius
-            )
-        else:
-            neighbours = [0] * len(tasks)
         inputs = [
             TaskDemandInputs(
                 round_no=view.round_no,
                 deadline=t.deadline,
                 received=t.received,
                 required=t.required_measurements,
-                neighbours=neighbours[i],
+                neighbours=count,
             )
-            for i, t in enumerate(tasks)
+            for t, count in zip(tasks, view.neighbours().tolist())
         ]
         demands = self.calculator.demands(inputs)
         span = self.schedule.step * (self.levels.count - 1)

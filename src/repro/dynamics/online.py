@@ -25,8 +25,8 @@ pricing against:
   the budget exactly as the on-demand mechanism's does.
 
 Both run on either engine: prices are computed with per-task python
-float arithmetic from exact neighbour counts, so scalar, batched, and
-sharded runs stay bit-identical.
+float arithmetic from the exact neighbour counts every engine puts in
+the round view, so scalar, batched, and sharded runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from repro.core.levels import DemandLevels
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
 from repro.core.rewards import RewardSchedule
-from repro.geometry.grid_index import GridIndex
 from repro.world.generator import World
 
 
@@ -230,10 +229,8 @@ class IncentMeMechanism(IncentiveMechanism):
         #: per-task neighbour-count EMA and volatility (EMA of |delta|).
         self._ema: Dict[int, float] = {}
         self._volatility: Dict[int, float] = {}
-        #: hooks the engines probe/inject.
+        #: observability hook the engine probes.
         self.last_demands: Dict[int, float] = {}
-        self.batched = False
-        self.neighbour_counter = None
         #: injected by the engine when the run has an open world.
         self.timeline = None
 
@@ -248,15 +245,6 @@ class IncentMeMechanism(IncentiveMechanism):
             levels=self.levels,
         )
 
-    def _neighbour_counts(self, view: RoundView, tasks: List) -> List[int]:
-        locations = [t.location for t in tasks]
-        if self.neighbour_counter is not None:
-            return [int(c) for c in self.neighbour_counter.counts_array(locations)]
-        if view.user_locations:
-            index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-            return index.counts_for(locations, self.neighbour_radius)
-        return [0] * len(tasks)
-
     def rewards(self, view: RoundView) -> Dict[int, float]:
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
@@ -264,7 +252,7 @@ class IncentMeMechanism(IncentiveMechanism):
         if not tasks:
             self.last_demands = {}
             return {}
-        counts = self._neighbour_counts(view, tasks)
+        counts = view.neighbours().tolist()
         crowd_instability = 0.0
         if self.timeline is not None:
             crowd_instability = 1.0 - self.timeline.mean_presence(view.round_no)

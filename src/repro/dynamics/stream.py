@@ -4,10 +4,11 @@
 :class:`~repro.dynamics.processes.EventStream` and replays it against a
 live engine: before round ``r`` plays, the round's departures, arrivals,
 and task publications are folded into the engine's world through its
-``_apply_dynamics`` hook (the scalar engine mutates its user/task lists;
-the batched engine additionally rebuilds its persistent arrays, forces
-an :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`
-rebuild, and refreshes the sharded pool's shared-memory blocks).
+``_apply_dynamics`` hook (the shared engine mutates its user/task lists
+and rebuilds or primes its
+:class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`; the
+batched engine additionally rebuilds its persistent arrays and refreshes
+the sharded pool's shared-memory blocks).
 
 The timeline consumes **no randomness at runtime** — every draw already
 happened in :func:`~repro.dynamics.processes.generate_stream` — so the

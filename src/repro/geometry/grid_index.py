@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,10 @@ class GridIndex:
         cell_size: side of each square cell in meters; queries with
             ``radius <= cell_size`` touch at most 9 cells.
 
-    The index is immutable once built; the engine rebuilds it each round
-    from the users' current positions, which is cheap (one dict fill).
+    The index is immutable once built.  It is the reference answer: the
+    engine keeps Eq. 5 counts in an :class:`IncrementalNeighbourCounter`,
+    and tests pin :func:`bulk_counts` (which that counter runs) against
+    :meth:`counts_for`.
     """
 
     def __init__(self, points: Sequence[Point], cell_size: float):
@@ -41,7 +43,6 @@ class GridIndex:
         self._cells: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         for idx, point in enumerate(self._points):
             self._cells[self._cell_of(point)].append(idx)
-        self._array: Optional[np.ndarray] = None  # built lazily for batching
 
     @property
     def cell_size(self) -> float:
@@ -87,58 +88,10 @@ class GridIndex:
     def counts_for(self, centers: Sequence[Point], radius: float) -> List[int]:
         """Vector of :meth:`count_within` results, one per center.
 
-        This is the shape the demand calculator consumes: one neighbour
-        count per task, from one index built per round.
+        One neighbour count per task: the reference answer the Eq. 5
+        counter (:func:`bulk_counts`) is tested against.
         """
         return [self.count_within(center, radius) for center in centers]
-
-    # -- batched queries ---------------------------------------------------
-
-    #: distances this close to the radius are re-decided with the scalar
-    #: predicate; np.hypot and math.hypot can disagree only in the last
-    #: ulp, far inside this window for any realistic geometry.
-    _BOUNDARY_TOL = 1e-6
-
-    def _points_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.asarray(
-                [(p.x, p.y) for p in self._points], dtype=float
-            ).reshape(len(self._points), 2)
-        return self._array
-
-    def counts_array(self, centers: Sequence[Point], radius: float) -> np.ndarray:
-        """Batched :meth:`counts_for`, identical counts, vectorised math.
-
-        Each center still gathers candidates from its 3x3 cell block, but
-        the distance test runs as one numpy expression per center instead
-        of a Python loop over candidate points.  Candidates whose
-        distance falls within :data:`_BOUNDARY_TOL` of the radius are
-        re-decided with ``Point.distance_to`` (``math.hypot``), which is
-        the scalar path's predicate — so an on-the-boundary user is
-        counted by both paths or by neither.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        points = self._points_array()
-        counts = np.zeros(len(centers), dtype=int)
-        for i, center in enumerate(centers):
-            candidates: List[int] = []
-            for cell in self._candidate_cells(center, radius):
-                candidates.extend(self._cells.get(cell, ()))
-            if not candidates:
-                continue
-            idx = np.asarray(candidates, dtype=int)
-            diff = points[idx] - (center.x, center.y)
-            distances = np.hypot(diff[:, 0], diff[:, 1])
-            inside = distances <= radius
-            near = np.abs(distances - radius) <= self._BOUNDARY_TOL
-            if np.any(near):
-                for j in np.nonzero(near)[0]:
-                    inside[j] = (
-                        self._points[int(idx[j])].distance_to(center) <= radius
-                    )
-            counts[i] = int(np.count_nonzero(inside))
-        return counts
 
 
 # -- bulk counting and incremental maintenance ---------------------------
@@ -151,6 +104,10 @@ _NINE_CELLS = np.asarray(
 #: coordinates must stay within +-_CELL_OFFSET cells of the origin.
 _CELL_OFFSET = np.int64(1) << 20
 _CELL_STRIDE = np.int64(1) << 21
+#: Distances this close to the radius are re-decided with the scalar
+#: predicate; np.hypot and math.hypot can disagree only in the last ulp,
+#: far inside this window for any realistic geometry.
+_BOUNDARY_TOL = 1e-6
 
 
 def _encode_cells(cells: np.ndarray) -> np.ndarray:
@@ -174,7 +131,7 @@ def bulk_counts(
     .counts_for(centers, radius)`` returns (pinned by tests), without
     the per-center Python loop: cell membership, the 3x3 block gather,
     and the distance predicate all run as whole-array expressions, with
-    the same :data:`GridIndex._BOUNDARY_TOL` band re-decided by
+    the :data:`_BOUNDARY_TOL` band re-decided by
     ``Point.distance_to``.
 
     Raises:
@@ -218,7 +175,7 @@ def bulk_counts(
     dy = coords[cand, 1] - carr[center_of, 1]
     distances = np.hypot(dx, dy)
     inside = distances <= radius
-    near = np.abs(distances - radius) <= GridIndex._BOUNDARY_TOL
+    near = np.abs(distances - radius) <= _BOUNDARY_TOL
     if np.any(near):
         for j in np.nonzero(near)[0].tolist():
             inside[j] = (
@@ -231,12 +188,12 @@ def bulk_counts(
 class IncrementalNeighbourCounter:
     """Eq. 5 neighbour counts maintained by movement deltas, not rebuilds.
 
-    The per-round grid rebuild (:class:`GridIndex` + ``counts_array``)
-    touches every user every round; at city scale most users do not move
-    between rounds (stationary commuters, users with no reachable
-    tasks), so the counter instead keeps one running count per *primed*
-    center and updates it from the movers alone: a user moving from p to
-    p' subtracts its old-position indicator and adds its new-position
+    A per-round grid rebuild (:class:`GridIndex`) touches every user
+    every round; at city scale most users do not move between rounds
+    (stationary commuters, users with no reachable tasks), so the
+    counter instead keeps one running count per *primed* center and
+    updates it from the movers alone: a user moving from p to p'
+    subtracts its old-position indicator and adds its new-position
     indicator for every center.  Indicators are computed by
     :func:`bulk_counts` with the exact :class:`GridIndex` predicate, and
     counts are integers, so any sequence of updates leaves every count
@@ -294,16 +251,16 @@ class IncrementalNeighbourCounter:
             self._centers.append(center)
         self._counts = np.concatenate([self._counts, fresh_counts])
 
-    def counts_for(self, centers: Sequence[Point]) -> List[int]:
-        """Current neighbour count per center (priming any new ones)."""
-        if any((c.x, c.y) not in self._slots for c in centers):
-            self.prime(centers)
-        counts = self._counts
-        return [int(counts[self._slots[(c.x, c.y)]]) for c in centers]
-
     def counts_array(self, centers: Sequence[Point]) -> np.ndarray:
-        """:meth:`counts_for` as an array (the batched pricing shape)."""
-        return np.asarray(self.counts_for(centers), dtype=int)
+        """Current neighbour count per center, as an int array (priming
+        any center not seen before)."""
+        slots = self._slots
+        if any((c.x, c.y) not in slots for c in centers):
+            self.prime(centers)
+        rows = np.fromiter(
+            (slots[(c.x, c.y)] for c in centers), dtype=np.intp, count=len(centers)
+        )
+        return self._counts[rows]
 
     def apply_moves(
         self,

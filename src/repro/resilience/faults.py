@@ -145,6 +145,12 @@ class FaultyMechanism:
         self.plan = plan
         self.drop_count = drop_count
 
+    @property
+    def neighbour_radius(self):
+        """The wrapped mechanism's Eq. 5 radius, so the engine still
+        hands a neighbour-pricing mechanism its counts."""
+        return getattr(self.inner, "neighbour_radius", None)
+
     def initialize(self, world, rng) -> None:
         self.inner.initialize(world, rng)
 

@@ -33,12 +33,9 @@ tests), only the low-order bits of the matrix entries differ.
 ``problem_for`` and ``build_problems`` go through the same stream, so
 they return the float32 problems the round actually solves.
 
-**Scale.** At 50k+ users three further costs dominate, each handled
+**Scale.** At 50k+ users two further costs dominate, each handled
 here (see docs/architecture.md "Scaling"):
 
-- the mechanism's per-round grid rebuild for Eq. 5 neighbour counts —
-  replaced by an :class:`~repro.geometry.grid_index.
-  IncrementalNeighbourCounter` fed from the engine's own move loop,
 - the per-round task-to-task distance matrix — computed once over *all*
   world tasks (task locations never change) and sliced per round via a
   row mapping instead of rebuilt,
@@ -62,7 +59,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.selection import Selection
 from repro.selection.problem import TaskSelectionProblem
 from repro.simulation.engine import SimulationEngine
@@ -283,10 +279,6 @@ class BatchedSimulationEngine(SimulationEngine):
     - problems come from :class:`BatchedRoundProblems` chunks, sliced
       from a cross-round all-tasks distance matrix and fed the engine's
       persistent position/budget arrays,
-    - mechanisms exposing a ``batched`` flag price rounds through their
-      vectorised Eq. 2–7 path, fed by an incremental neighbour counter
-      (mechanisms exposing a ``neighbour_counter`` hook) instead of a
-      per-round grid rebuild,
     - with ``workers > 1``, the select kernel runs in a process pool over
       shared-memory arrays (see :mod:`repro.simulation.shard`); shard
       selections are concatenated in participant order, so the history
@@ -308,13 +300,10 @@ class BatchedSimulationEngine(SimulationEngine):
 
     def __init__(self, *args, workers: Optional[int] = None, **kwargs):
         super().__init__(*args, **kwargs)
-        if hasattr(self.mechanism, "batched"):
-            self.mechanism.batched = True
         self._dtype = np.dtype(
             np.float32 if self.config.distance_dtype == "float32" else np.float64
         )
         users = self.world.users
-        self._user_rows = {u.user_id: i for i, u in enumerate(users)}
         self._positions = np.asarray(
             [(u.location.x, u.location.y) for u in users], dtype=float
         ).reshape(len(users), 2)
@@ -325,7 +314,6 @@ class BatchedSimulationEngine(SimulationEngine):
         self._task_row_of: Dict[int, int] = {
             t.task_id: i for i, t in enumerate(self.world.tasks)
         }
-        self._neighbour_counter = self._build_neighbour_counter()
         self._workers = int(workers) if workers else 1
         self._shard_fallbacks = 0
         self._shards = None
@@ -370,88 +358,41 @@ class BatchedSimulationEngine(SimulationEngine):
         self._shard_fallbacks = 0
         return count
 
-    # -- incremental neighbour counts -----------------------------------
-
-    def _build_neighbour_counter(self) -> Optional[IncrementalNeighbourCounter]:
-        """An Eq. 5 counter primed with every task the world will publish.
-
-        Only mechanisms exposing a ``neighbour_counter`` hook get one;
-        priming everything up front means later task releases (Poisson /
-        burst arrivals) never trigger a full population rescan.
-        """
-        radius = getattr(self.mechanism, "neighbour_radius", None)
-        if not radius or not hasattr(self.mechanism, "neighbour_counter"):
-            return None
-        counter = IncrementalNeighbourCounter(
-            [u.location for u in self.world.users], radius=float(radius)
-        )
-        counter.prime([t.location for t in self.world.tasks])
-        self.mechanism.neighbour_counter = counter
-        return counter
-
-    def _round_user_locations(self):
-        # With an incremental counter injected, the mechanism never
-        # reads per-round user locations — skip building the O(users)
-        # list every round.
-        if self._neighbour_counter is not None:
-            return ()
-        return super()._round_user_locations()
-
     # -- open-world churn ------------------------------------------------
 
     def _apply_dynamics(self, changes) -> None:
-        """The scalar world mutation, plus array/counter/shard upkeep.
+        """The shared world mutation, plus array and shard upkeep.
 
         Population changes invalidate every user-aligned array (rows
-        shift when users leave), so positions/budgets/row maps are
-        rebuilt and the incremental neighbour counter gets a forced
-        full rebuild over the new population (which also re-primes
-        every task, including any published this round).  A task-only
-        change keeps the counter and just primes the new centers.  With
-        a sharded pool, the shared-memory blocks are re-published under
-        a new generation so workers re-attach on their next job.
+        shift when users leave), so positions and budgets are rebuilt;
+        new tasks drop the all-tasks distance matrix.  With a sharded
+        pool, the shared-memory blocks are re-published under a new
+        generation so workers re-attach on their next job.
         """
         super()._apply_dynamics(changes)
-        rebuilt_counter = False
         if changes.population_changed:
             users = self.world.users
-            self._user_rows = {u.user_id: i for i, u in enumerate(users)}
             self._positions = np.asarray(
                 [(u.location.x, u.location.y) for u in users], dtype=float
             ).reshape(len(users), 2)
             self._budgets = np.asarray(
                 [u.max_travel_distance for u in users], dtype=float
             )
-            self._neighbour_counter = self._build_neighbour_counter()
-            rebuilt_counter = True
         if changes.tasks:
             self._task_row_of = {
                 t.task_id: i for i, t in enumerate(self.world.tasks)
             }
             self._full_task_matrix = None
-            if self._neighbour_counter is not None and not rebuilt_counter:
-                self._neighbour_counter.prime(
-                    [t.location for t in changes.tasks]
-                )
         if self._shards is not None:
             self._shards.refresh()
 
     def _apply_moves(self, arrival, users, selections, tasks_by_id):
-        """The scalar move pass, plus position-array and counter upkeep.
-
-        Only the movers the scalar pass reports touch the arrays.  A
-        returned new object with equal coordinates counts as a move —
-        harmless: its counter delta is exactly zero.
-        """
+        """The shared move pass, plus position-array upkeep for the
+        movers it reports (their rows are world rows)."""
         moved = super()._apply_moves(arrival, users, selections, tasks_by_id)
-        movers, olds, news = moved
-        if not movers:
-            return moved
-        user_rows = self._user_rows
-        rows = [user_rows[users[idx].user_id] for idx in movers]
-        self._positions[rows] = [(new.x, new.y) for new in news]
-        if self._neighbour_counter is not None:
-            self._neighbour_counter.apply_moves(rows, olds, news)
+        movers, _, news = moved
+        if movers:
+            self._positions[movers] = [(new.x, new.y) for new in news]
         return moved
 
     # -- problem construction -------------------------------------------

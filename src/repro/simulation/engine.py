@@ -4,7 +4,7 @@ Per round k:
 
 1. **Reward update / task publish** — the incentive mechanism prices
    every active task from the platform's view of the round (task
-   progress + current user positions).
+   progress + each task's Eq. 5 neighbour count).
 2. **Task select** — each user independently solves its Eq. 1 instance
    over the tasks it has not yet contributed to, using the configured
    selector (exact DP or greedy).  Users decide simultaneously against
@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
+from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.geometry.point import Point
 from repro.obs.log import bind
 from repro.obs.metrics import MetricsRegistry
@@ -144,6 +145,7 @@ class SimulationEngine:
             )
         if self.timeline is not None and hasattr(self.mechanism, "timeline"):
             self.mechanism.timeline = self.timeline
+        self._neighbours = self._new_neighbour_counter()
         self.observers = list(observers)
         self.coordinator = coordinator
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -190,10 +192,31 @@ class SimulationEngine:
             return generator.clustered(rng)
         return generator.uniform(rng)
 
+    def _new_neighbour_counter(self) -> Optional[IncrementalNeighbourCounter]:
+        """The Eq. 5 counter over the current population, or ``None`` when
+        the mechanism declares no ``neighbour_radius``.
+
+        Every world task is primed up front, so later releases (Poisson /
+        burst arrivals) never trigger a full population rescan.  Rows are
+        world rows: :meth:`_apply_moves` reports movers by row.
+        """
+        radius = getattr(self.mechanism, "neighbour_radius", None)
+        if not radius:
+            return None
+        counter = IncrementalNeighbourCounter(
+            [u.location for u in self.world.users], radius=float(radius)
+        )
+        counter.prime([t.location for t in self.world.tasks])
+        return counter
+
     def _ensure_mechanism(self) -> None:
         if not self._mechanism_ready:
             self.mechanism.initialize(self.world, self._streams["mechanism"])
             self._mechanism_ready = True
+
+    def close(self) -> None:
+        """Release engine resources.  Nothing to release in-process; the
+        sharded engine overrides this to stop its worker pool."""
 
     # -- round state -----------------------------------------------------------
 
@@ -236,32 +259,26 @@ class SimulationEngine:
         """The prices the mechanism would publish for the upcoming round.
 
         Safe to call repeatedly: mechanisms are pure functions of the
-        round view, so the engine computes each round's price map (and
-        the grid-index neighbour counting behind it) once and answers
-        repeated calls from a per-round cache.  Callers get a copy.
+        round view, so the engine computes each round's price map once
+        and answers repeated calls from a per-round cache.  Callers get
+        a copy.  The view carries each task's Eq. 5 neighbour count,
+        read from the engine's incremental counter.
         """
         cached = self._price_cache
         if cached is not None and cached[0] == self._next_round:
             self._perf.price_cache_hits += 1
             return dict(cached[1])
         self._ensure_mechanism()
+        tasks = self.published_tasks()
+        counts = None
+        if self._neighbours is not None:
+            counts = self._neighbours.counts_array([t.location for t in tasks])
         view = RoundView(
-            round_no=self._next_round,
-            active_tasks=self.published_tasks(),
-            user_locations=self._round_user_locations(),
+            round_no=self._next_round, active_tasks=tasks, neighbour_counts=counts
         )
         prices = self.mechanism.rewards(view)
         self._price_cache = (self._next_round, dict(prices))
         return prices
-
-    def _round_user_locations(self) -> Sequence:
-        """User locations for the mechanism's round view.
-
-        A hook so the batched engine can skip building the O(users)
-        list when an incremental neighbour counter already answers the
-        mechanism's Eq. 5 queries.
-        """
-        return [u.location for u in self.world.users]
 
     def build_problems(
         self, prices: Optional[Dict[int, float]] = None
@@ -527,8 +544,11 @@ class SimulationEngine:
         """Fold one round's open-world changes into the live world.
 
         Called by the :class:`~repro.dynamics.stream.WorldTimeline`
-        before the round plays.  The batched engine extends this to
-        rebuild its persistent arrays, neighbour counter, and shards.
+        before the round plays.  Population changes shift world rows, so
+        the neighbour counter is rebuilt over the new population (which
+        also primes every task, including this round's releases); a
+        task-only change just primes the new centers.  The batched
+        engine extends this to rebuild its persistent arrays and shards.
         """
         if changes.departures:
             departed = set(changes.departures)
@@ -539,6 +559,10 @@ class SimulationEngine:
             self.world.users.extend(changes.arrivals)
         if changes.tasks:
             self.world.tasks.extend(changes.tasks)
+        if changes.population_changed:
+            self._neighbours = self._new_neighbour_counter()
+        elif changes.tasks and self._neighbours is not None:
+            self._neighbours.prime([t.location for t in changes.tasks])
         self._price_cache = None
         self._problems_cache = None
 
@@ -612,7 +636,9 @@ class SimulationEngine:
         returned a different location object.  Policies return the
         *same object* for a user that stays put (stationary users on
         their home point, path followers without a path), so an identity
-        check finds the movers without a coordinate comparison.
+        check finds the movers without a coordinate comparison.  The
+        movers are folded into the Eq. 5 neighbour counter (a new object
+        with equal coordinates is a zero-delta move).
         """
         next_position = self.mobility.next_position
         region = self.world.region
@@ -635,6 +661,8 @@ class SimulationEngine:
                 rows.append(idx)
                 olds.append(old)
                 news.append(new)
+        if rows and self._neighbours is not None:
+            self._neighbours.apply_moves(rows, olds, news)
         return rows, olds, news
 
     def _validate_prices(
@@ -815,4 +843,8 @@ def simulate(config: SimulationConfig, **engine_kwargs) -> SimulationResult:
     >>> result.rounds_played >= 1
     True
     """
-    return make_engine(config, **engine_kwargs).run()
+    engine = make_engine(config, **engine_kwargs)
+    try:
+        return engine.run()
+    finally:
+        engine.close()

@@ -27,7 +27,7 @@ class PerfStats:
             (one per round in the WST mode; 0 when a coordinator runs).
         price_cache_hits: repeated price-map requests for the same round
             answered from the engine's cache instead of re-running the
-            mechanism (and its grid-index neighbour counting).
+            mechanism.
         dp_states_expanded: ``(mask, last)`` DP states scored by the
             exact selector this round (0 for non-DP selectors).
         selector_calls: ``Selector.select`` invocations this round.

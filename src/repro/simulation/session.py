@@ -28,7 +28,7 @@ shared memory and is safe to call mid-run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.mechanisms.policy import IncentiveAction, apply_incentive_action
 from repro.simulation.config import SimulationConfig
@@ -145,9 +145,7 @@ class SimulationSession:
         if self._closed:
             return
         self._closed = True
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
+        self.engine.close()
 
     def __enter__(self) -> "SimulationSession":
         return self

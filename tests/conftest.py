@@ -13,6 +13,8 @@ import logging
 import numpy as np
 import pytest
 
+from repro.core.mechanisms.base import RoundView
+from repro.geometry.grid_index import GridIndex
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.simulation.config import SimulationConfig
@@ -84,6 +86,22 @@ def make_user(
         speed=speed,
         cost_per_meter=cost_per_meter,
         time_budget=time_budget,
+    )
+
+
+def round_view(
+    world: World, round_no: int, tasks=None, radius: float = 500.0
+) -> RoundView:
+    """The view an engine would price ``tasks`` (default: the world's
+    active tasks) from, with Eq. 5 counts from a grid index over the
+    users' current positions (test helper)."""
+    if tasks is None:
+        tasks = [t for t in world.tasks if t.is_active]
+    index = GridIndex([u.location for u in world.users], cell_size=radius)
+    return RoundView(
+        round_no=round_no,
+        active_tasks=tasks,
+        neighbour_counts=index.counts_for([t.location for t in tasks], radius),
     )
 
 

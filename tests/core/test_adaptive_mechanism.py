@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.mechanisms import AdaptiveBudgetMechanism, OnDemandMechanism, RoundView
+from repro.core.mechanisms import AdaptiveBudgetMechanism, OnDemandMechanism
 from repro.geometry.region import RectRegion
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
 from repro.world.generator import World
 from repro.world.task import TaskStatus
-from tests.conftest import make_task, make_user
+from tests.conftest import make_task, make_user, round_view
 
 
 @pytest.fixture
@@ -29,11 +29,7 @@ def init(mechanism, world, seed=0):
 
 
 def view_of(world, round_no):
-    return RoundView(
-        round_no=round_no,
-        active_tasks=[t for t in world.tasks if t.is_active],
-        user_locations=[u.location for u in world.users],
-    )
+    return round_view(world, round_no)
 
 
 class TestPricing:

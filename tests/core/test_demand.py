@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.demand import (
@@ -204,3 +205,69 @@ class TestDemandCalculator:
         )
         inputs = TaskDemandInputs(5, 5, 0, 20, neighbours=0)
         assert calculator.normalized_demand(inputs, 0) <= 1.0
+
+
+class TestDemandsArray:
+    """The array path is on-demand pricing's only path: it must equal
+    :meth:`DemandCalculator.demands` bit for bit and reject what the
+    scalar factors reject."""
+
+    @staticmethod
+    def both(calculator, round_no, rows):
+        inputs = [TaskDemandInputs(round_no, *row) for row in rows]
+        columns = [np.asarray(col) for col in zip(*rows)]
+        array = calculator.demands_array(round_no, *columns).tolist()
+        return [d.hex() for d in array], [d.hex() for d in calculator.demands(inputs)]
+
+    @pytest.mark.parametrize(
+        "scales", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (3.0, 0.7, 1.9)]
+    )
+    def test_matches_demands_bitwise_on_random_rounds(self, scales):
+        calculator = DemandCalculator(DemandWeights.from_ahp(), *scales)
+        rng = np.random.default_rng(11)
+        for round_no in (1, 4, 9):
+            required = rng.integers(1, 25, 40)
+            rows = list(zip(
+                (round_no + rng.integers(0, 12, 40)).tolist(),
+                [int(rng.integers(0, r + 3)) for r in required],
+                required.tolist(),
+                rng.integers(0, 30, 40).tolist(),
+            ))
+            array, scalar = self.both(calculator, round_no, rows)
+            assert array == scalar
+
+    def test_matches_demands_on_edges(self):
+        calculator = DemandCalculator(DemandWeights(0.2, 0.3, 0.5))
+        rows = [
+            (5, 0, 20, 0),     # at its deadline, untouched, alone
+            (5, 20, 20, 7),    # complete
+            (6, 25, 20, 7),    # over-complete: progress clamps to 1
+            (40, 10, 20, 3),
+        ]
+        array, scalar = self.both(calculator, 5, rows)
+        assert array == scalar
+        no_neighbours = [(5, 0, 20, 0), (9, 1, 3, 0)]
+        array, scalar = self.both(calculator, 5, no_neighbours)
+        assert array == scalar
+
+    def test_empty_round(self):
+        calculator = DemandCalculator(DemandWeights.from_ahp())
+        empty = np.zeros(0, dtype=int)
+        assert calculator.demands_array(1, empty, empty, empty, empty).size == 0
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ((10, 0, 0, 1), "required"),
+            ((10, -3, 20, 1), "received"),
+            ((10, 0, 20, -1), "neighbours"),
+            ((2, 0, 20, 1), "deadline"),
+        ],
+    )
+    def test_rejects_what_the_scalar_factors_reject(self, row, match):
+        calculator = DemandCalculator(DemandWeights.from_ahp())
+        rows = [(10, 1, 20, 2), row]
+        with pytest.raises(ValueError, match=match):
+            calculator.demands([TaskDemandInputs(3, *r) for r in rows])
+        with pytest.raises(ValueError, match=match):
+            calculator.demands_array(3, *[np.asarray(c) for c in zip(*rows)])

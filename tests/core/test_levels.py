@@ -1,5 +1,8 @@
 """Unit tests for repro.core.levels — the Table III bucketing."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.levels import DemandLevels
@@ -85,3 +88,37 @@ class TestGeneral:
     def test_invalid_count(self):
         with pytest.raises(ValueError, match="count"):
             DemandLevels(0)
+
+
+def edge_demands(count):
+    """Every bucket edge k/N, its float neighbours, 0, 1 and the slack."""
+    values = [0.0, 1.0, -1e-13, 1.0 + 1e-13, 0.1 + 0.2 + 0.3]
+    for k in range(count + 1):
+        edge = k / count
+        values += [edge, math.nextafter(edge, -1.0), math.nextafter(edge, 2.0)]
+    return values
+
+
+class TestLevelsArrayParity:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 10])
+    def test_matches_level_of_on_edges(self, count):
+        levels = DemandLevels(count)
+        demands = edge_demands(count)
+        assert levels.levels_array(np.asarray(demands)).tolist() == (
+            levels.levels_of(demands)
+        )
+
+    def test_matches_level_of_on_random_demands(self):
+        levels = DemandLevels(6)
+        demands = np.random.default_rng(3).uniform(0.0, 1.0, 500)
+        assert levels.levels_array(demands).tolist() == levels.levels_of(
+            demands.tolist()
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
+    def test_rejects_what_level_of_rejects(self, bad):
+        levels = DemandLevels(5)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            levels.level_of(bad)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            levels.levels_array(np.asarray([0.5, bad]))

@@ -13,7 +13,6 @@ from repro.core.mechanisms import (
     FixedMechanism,
     OnDemandMechanism,
     ProportionalDemandMechanism,
-    RoundView,
     SteeredMechanism,
 )
 from repro.geometry.point import Point
@@ -21,6 +20,7 @@ from repro.geometry.region import RectRegion
 from repro.world.generator import World
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
+from tests.conftest import round_view
 
 REGION = RectRegion.square(1000.0)
 
@@ -68,11 +68,7 @@ def build_world(raw_tasks, raw_users):
 
 def view_for(world, round_no):
     active = [t for t in world.tasks if t.is_active and round_no <= t.deadline]
-    return RoundView(
-        round_no=round_no,
-        active_tasks=active,
-        user_locations=[u.location for u in world.users],
-    ), active
+    return round_view(world, round_no, active), active
 
 
 def mechanisms_for(world):

@@ -13,7 +13,7 @@ from repro.core.mechanisms import (
 )
 from repro.core.mechanisms.registry import MECHANISM_NAMES, MECHANISMS
 from repro.world.generator import World
-from tests.conftest import make_task, make_user
+from tests.conftest import make_task, make_user, round_view
 
 
 @pytest.fixture
@@ -28,11 +28,7 @@ def world(region):
 
 
 def view_of(world, round_no=1):
-    return RoundView(
-        round_no=round_no,
-        active_tasks=[t for t in world.tasks if t.is_active],
-        user_locations=[u.location for u in world.users],
-    )
+    return round_view(world, round_no)
 
 
 def init(mechanism, world, seed=0):
@@ -43,7 +39,7 @@ def init(mechanism, world, seed=0):
 class TestRoundView:
     def test_round_validated(self, world):
         with pytest.raises(ValueError, match="round_no"):
-            RoundView(round_no=0, active_tasks=[], user_locations=[])
+            RoundView(round_no=0, active_tasks=[], neighbour_counts=[])
 
 
 class TestOnDemand:
@@ -90,7 +86,7 @@ class TestOnDemand:
 
     def test_empty_round_gives_empty_prices(self, world):
         mechanism = init(OnDemandMechanism(budget=100.0), world)
-        empty = RoundView(round_no=1, active_tasks=[], user_locations=[])
+        empty = RoundView(round_no=1, active_tasks=[], neighbour_counts=[])
         assert mechanism.rewards(empty) == {}
 
     def test_weights_and_matrix_mutually_exclusive(self):

@@ -280,7 +280,7 @@ class TestPolicyMechanismRuns:
         map, session.step(action) invalidates and reprices) must not
         re-run the policy — a stateful policy acting twice would make
         the trajectory depend on whether observe() was called."""
-        from repro.core.mechanisms.base import RoundView
+        from tests.conftest import round_view
 
         seen = []
 
@@ -292,20 +292,12 @@ class TestPolicyMechanismRuns:
         mechanism = PolicyMechanism(policy=spy, budget=config.budget)
         world = small_world(config)
         mechanism.initialize(world, np.random.default_rng(0))
-        view = RoundView(
-            round_no=1,
-            active_tasks=world.tasks,
-            user_locations=[u.location for u in world.users],
-        )
+        view = round_view(world, 1, world.tasks)
         first = mechanism.rewards(view)
         second = mechanism.rewards(view)  # same round: repricing only
         assert seen == [1]
         assert first == second
-        view2 = RoundView(
-            round_no=2,
-            active_tasks=world.tasks,
-            user_locations=[u.location for u in world.users],
-        )
+        view2 = round_view(world, 2, world.tasks)
         mechanism.rewards(view2)
         assert seen == [1, 2]
 

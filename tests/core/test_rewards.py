@@ -1,5 +1,6 @@
 """Unit tests for repro.core.rewards — Eq. 7–9 with the paper's constants."""
 
+import numpy as np
 import pytest
 
 from repro.core.levels import DemandLevels
@@ -91,3 +92,26 @@ class TestGeneralSchedules:
         )
         assert schedule.base_reward == pytest.approx(2.0)
         assert schedule.max_reward == pytest.approx(2.0)
+
+
+class TestRewardsArrayParity:
+    @pytest.mark.parametrize(
+        "base, step, count",
+        [(0.5, 0.5, 5), (0.37, 0.13, 7), (2.0, 0.0, 5), (1.1, 0.3, 1)],
+    )
+    def test_matches_rewards_for_demands_bitwise(self, base, step, count):
+        schedule = RewardSchedule(
+            base_reward=base, step=step, levels=DemandLevels(count)
+        )
+        demands = [0.0, 1.0] + [k / count for k in range(count + 1)]
+        demands += np.random.default_rng(count).uniform(0, 1, 200).tolist()
+        array = schedule.rewards_array(np.asarray(demands)).tolist()
+        scalar = schedule.rewards_for_demands(demands)
+        assert [r.hex() for r in array] == [r.hex() for r in scalar]
+
+    def test_rejects_nan_like_the_scalar_path(self):
+        schedule = RewardSchedule(0.5, 0.5, DemandLevels(5))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            schedule.reward_for_demand(float("nan"))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            schedule.rewards_array(np.asarray([float("nan")]))

@@ -10,6 +10,7 @@ from repro.dynamics.online import (
     stage_plan,
 )
 from repro.simulation import SimulationConfig, make_engine
+from tests.conftest import round_view
 
 
 def total_paid(result):
@@ -239,13 +240,9 @@ class TestIncentMeScoring:
         mechanism_churned.timeline = _Ledger(presence=0.5)
         mechanism_churned.initialize(world, np.random.default_rng(0))
 
-        class _View:
-            round_no = 3
-            active_tasks = world.tasks
-            user_locations = [u.location for u in world.users]
-
-        stable = mechanism_stable.rewards(_View())
-        churned = mechanism_churned.rewards(_View())
+        view = round_view(world, 3, world.tasks)
+        stable = mechanism_stable.rewards(view)
+        churned = mechanism_churned.rewards(view)
         assert sum(churned.values()) >= sum(stable.values())
         assert any(
             churned[tid] > stable[tid] for tid in churned

@@ -91,6 +91,18 @@ class TestFaultyMechanism:
         engine = self._engine(config, FaultPlan())  # no faults scheduled
         assert engine.step().round_no == 1
 
+    def test_wraps_a_neighbour_pricing_mechanism(self, fast_config):
+        """The wrapper forwards ``neighbour_radius``, so the engine still
+        hands an on-demand inner its Eq. 5 counts."""
+        inner = MECHANISMS.create(
+            "on-demand", **fast_config.mechanism_arguments()
+        )
+        engine = SimulationEngine(
+            fast_config, mechanism=FaultyMechanism(inner, FaultPlan())
+        )
+        bare = SimulationEngine(fast_config)
+        assert engine.step().published_rewards == bare.step().published_rewards
+
 
 class TestFlakyIO:
     @pytest.fixture

@@ -76,8 +76,28 @@ class TestBitIdentity:
                  release_range=(1, 5)),
             dict(heterogeneity=0.3, layout="clustered"),
             dict(arrival="poisson"),
+            dict(mechanism="proportional"),
+            dict(mechanism="adaptive"),
+            dict(mechanism="omg-online"),
+            dict(mechanism="incentme", mobility="random-waypoint"),
+            dict(mechanism="policy"),
+            dict(
+                mobility="random-waypoint",
+                dynamics=dict(
+                    user_arrival_rate=3.0,
+                    user_departure_rate=0.1,
+                    task_arrival_rate=1.0,
+                    task_deadline_range=[3, 5],
+                    deadline_renewal_prob=0.3,
+                    max_deadline_renewals=1,
+                ),
+            ),
         ],
-        ids=["waypoint", "fixed-partial", "clustered-hetero", "poisson"],
+        ids=[
+            "waypoint", "fixed-partial", "clustered-hetero", "poisson",
+            "proportional", "adaptive", "omg-online", "incentme", "policy",
+            "poisson-churn",
+        ],
     )
     def test_extension_knobs(self, overrides):
         (s_eng, s_res), (b_eng, b_res) = run_both(
@@ -163,9 +183,3 @@ class TestEngineFactory:
         batched = make_engine(SimulationConfig(n_users=5, engine="batched"))
         assert type(scalar) is SimulationEngine
         assert isinstance(batched, BatchedSimulationEngine)
-
-    def test_batched_flips_mechanism_flag(self):
-        engine = make_engine(SimulationConfig(n_users=5, engine="batched"))
-        assert getattr(engine.mechanism, "batched", False) is True
-        scalar = make_engine(SimulationConfig(n_users=5))
-        assert getattr(scalar.mechanism, "batched", True) is False

@@ -32,6 +32,14 @@ class TestLifecycle:
         assert result.rounds_played >= 1
         assert engine.finished
 
+    def test_simulate_closes_its_engine(self, config, monkeypatch):
+        closed = []
+        monkeypatch.setattr(
+            SimulationEngine, "close", lambda engine: closed.append(engine)
+        )
+        simulate(config)
+        assert len(closed) == 1
+
     def test_step_after_finish_raises(self, config):
         engine = SimulationEngine(config)
         engine.run()
@@ -211,3 +219,55 @@ class TestLayouts:
             budget=150.0, selector=selector, seed=2,
         )
         assert simulate(config).rounds_played >= 1
+
+
+CHURN = dict(
+    user_arrival_rate=3.0,
+    user_departure_rate=0.1,
+    task_arrival_rate=1.0,
+    task_deadline_range=[3, 5],
+)
+
+
+class TestNeighbourCounts:
+    @pytest.mark.parametrize("dynamics", [{}, CHURN], ids=["moves", "churn"])
+    def test_view_counts_match_a_fresh_grid_every_round(self, dynamics):
+        """The engine's incremental Eq. 5 counts equal a from-scratch
+        grid count over the users' positions at every pricing call,
+        through moves alone and through arrivals, departures and task
+        releases."""
+        from repro.geometry.grid_index import GridIndex
+
+        config = SimulationConfig(
+            n_users=25,
+            n_tasks=12,
+            area_side=1500.0,
+            rounds=8,
+            required_measurements=30,
+            budget=2000.0,
+            deadline_range=(6, 10),
+            mobility="random-waypoint",
+            seed=5,
+            dynamics=dynamics,
+        )
+        engine = SimulationEngine(config)
+        radius = engine.mechanism.neighbour_radius
+        price = engine.mechanism.rewards
+        seen = []
+
+        def spy(view):
+            index = GridIndex([u.location for u in engine.world.users], radius)
+            expected = index.counts_for(
+                [t.location for t in view.active_tasks], radius
+            )
+            seen.append((list(view.neighbour_counts), expected))
+            return price(view)
+
+        engine.mechanism.rewards = spy
+        result = engine.run()
+        assert len(seen) == result.rounds_played == 8
+        assert any(r.dynamics for r in result.rounds) == bool(dynamics)
+        # Counts are non-trivial and change between rounds.
+        assert len({tuple(counts) for counts, _ in seen}) > 1
+        for counts, expected in seen:
+            assert counts == expected
